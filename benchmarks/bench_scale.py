@@ -10,8 +10,8 @@ heap events and process frames each request costs, and therefore the
 requests/sec and events/sec the host pushes through.
 
 ``speedup`` is the requests/sec ratio (fast-forward over event-driven
-baseline).  The baseline runs fewer requests by default
-(``--baseline-requests``) since both rates are steady within a shard.
+baseline).  Both sides run the same number of requests by default;
+``--baseline-requests`` shortens the baseline for quick looks only.
 
 Run standalone::
 
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from typing import Dict, Optional
@@ -65,6 +67,7 @@ def measure_point(
         node_mod.NODE_FAST_FORWARD = old
     red = reduce_scale_shards(rows)
     red.pop("hist")  # distribution is summarized by mean/p99 here
+    red.pop("load")  # per-disk counters: `python -m repro.bench report`
     red["wall_s"] = round(wall, 3)
     red["requests_per_sec"] = round(red["completed"] / wall)
     red["events_per_sec"] = round(red["events"] / wall)
@@ -82,7 +85,7 @@ def run_all(
 ) -> Dict[str, Dict]:
     """FF-on and FF-off measurements for every scale point."""
     if baseline_requests is None:
-        baseline_requests = max(1, n_requests // 5)
+        baseline_requests = n_requests
     out: Dict[str, Dict] = {}
     for n in node_counts:
         ff = measure_point(n, n_requests, shards, node_ff=True)
@@ -111,7 +114,7 @@ def main(argv=None) -> int:
                         help="requests per scale point (fast-forward run)")
     parser.add_argument("--baseline-requests", type=int, default=None,
                         help="requests for the event-driven baseline "
-                        "(default: requests/5; rates are steady-state)")
+                        "(default: same as --requests)")
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--nodes", type=int, nargs="*", default=None,
                         help="node counts (default: 12 64 256)")
@@ -137,10 +140,25 @@ def main(argv=None) -> int:
         print(f"{'':>5}  speedup {r['speedup']}x")
 
     if args.json:
+        baseline = args.baseline_requests or args.requests
         payload = {
             "python": sys.version.split()[0],
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
             "requests": args.requests,
+            "baseline_requests": baseline,
             "shards": args.shards,
+            "methodology": (
+                f"One host, one session. Per node count: the fast-forward "
+                f"run ({args.requests} requests), then the event-driven "
+                f"baseline (node fast-forward off in-process, {baseline} "
+                f"requests), each as {args.shards} serial _scale_point "
+                f"shards with seeds 0..{args.shards - 1}. wall_s times "
+                f"the whole batch, cluster construction and arrival "
+                f"generation included; requests_per_sec = completed / "
+                f"wall_s. Single run per cell, no repetition: compare "
+                f"cells of one file only, since a shared host's speed "
+                f"can drift by tens of percent between sessions."
+            ),
             "points": results,
         }
         with open(args.json, "w") as fh:

@@ -94,9 +94,9 @@ def local_image_region(
         g += n  # next group of the same residue class
     # Validate the local-image invariant (cheap, and worth the guarantee).
     for b in out:
-        mg = layout.mirror_group_of(b)
-        if mg.image_disk % n != node % n:
+        image_disk = layout.mirror_slot(b)[1]
+        if image_disk % n != node % n:
             raise AssertionError(
-                f"placement bug: block {b} images on disk {mg.image_disk}"
+                f"placement bug: block {b} images on disk {image_disk}"
             )
     return out

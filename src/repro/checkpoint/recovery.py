@@ -63,9 +63,8 @@ def recover(run, process: int, kind: str = "transient") -> RecoveryResult:
         # the local disk) and read each with one long local request.
         extents = {}
         for b in blocks:
-            mg = layout.mirror_group_of(b)
-            pos = mg.blocks.index(b)
-            key = (mg.image_disk, mg.image_offset)
+            _group, disk, base, pos = layout.mirror_slot(b)
+            key = (disk, base)
             lo, hi = extents.get(key, (pos, pos + 1))
             extents[key] = (min(lo, pos), max(hi, pos + 1))
         cdd = cluster.cdds[node]

@@ -418,9 +418,9 @@ class CacheStage:
         the RAID-x mirror group when the layout has one, else the
         stripe (contiguous either way, so runs stay single-write)."""
         layout = self.engine.planner.layout
-        mirror_group_of = getattr(layout, "mirror_group_of", None)
-        if mirror_group_of is not None:
-            return lambda b: mirror_group_of(b).group_id
+        mirror_slot = getattr(layout, "mirror_slot", None)
+        if mirror_slot is not None:
+            return lambda b: mirror_slot(b)[0]
         return layout.stripe_of
 
     @property

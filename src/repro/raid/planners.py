@@ -419,19 +419,16 @@ class RaidxPlanner(Planner):
         self.read_local_mirror = read_local_mirror
 
     # -- reads -------------------------------------------------------------
-    def _image_clean(
-        self, block: int, failed: FailedSet, dirty: AbstractSet[int]
-    ) -> bool:
-        mg = self.layout.mirror_group_of(block)  # type: ignore[attr-defined]
-        return mg.image_disk not in failed and mg.group_id not in dirty
-
     def read_candidates(
         self, piece: Piece, failed: FailedSet, ctx: ReadContext
     ) -> Tuple[Tuple[Placement, ...], bool]:
         lay = self.layout
         primary = piece.placement
-        mirror = lay.redundancy_locations(piece.block)[0]
-        clean = self._image_clean(piece.block, failed, ctx.dirty_groups)
+        group, disk, base, pos = lay.mirror_slot(  # type: ignore[attr-defined]
+            piece.block
+        )
+        mirror = Placement(disk, base + pos * lay.block_size)
+        clean = disk not in failed and group not in ctx.dirty_groups
         if primary.disk not in failed:
             if self.read_local_mirror and clean:
                 # Serve from a *local* image copy when the primary is
@@ -460,17 +457,10 @@ class RaidxPlanner(Planner):
         lay = self.layout
         bs = lay.block_size
         frags: List[Tuple[int, int, int, int]] = []
+        mirror_slot = lay.mirror_slot  # type: ignore[attr-defined]
         for p in pieces:
-            mg = lay.mirror_group_of(p.block)  # type: ignore[attr-defined]
-            pos = mg.blocks.index(p.block)
-            frags.append(
-                (
-                    mg.group_id,
-                    mg.image_disk,
-                    mg.image_offset + pos * bs + p.intra,
-                    p.nbytes,
-                )
-            )
+            group, disk, base, pos = mirror_slot(p.block)
+            frags.append((group, disk, base + pos * bs + p.intra, p.nbytes))
         frags.sort(key=lambda f: (f[1], f[2]))
         runs: List[Tuple[int, int, int, int]] = []
         for g, disk, off, n in frags:

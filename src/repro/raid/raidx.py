@@ -72,39 +72,26 @@ class RaidxLayout(Layout):
                 "RAID-x needs stripe width >= 3 (n-1 >= 2 blocks per "
                 "mirror group)"
             )
-        # Mirror placement repeats every D(n-1) blocks: the disk/row
-        # pattern is identical while image rows advance by n-1 and group
-        # ids by n per rotation.  Only complete rotations are table-
-        # cacheable — the final (partial) rotation can hold truncated
-        # mirror groups and falls back to the formulas.
         self._data_rows = self._fit_data_rows()
-        self._mirror_period = self.n_disks * (self.n - 1)
-        self._mirror_safe_limit = (
-            self.data_blocks // self._mirror_period
-        ) * self._mirror_period
-        self._mirror_table: tuple | None = None
-        self._image_table: tuple | None = None
+        #: Mirror groups per disk group; only the last can be truncated.
+        self._groups_per_disk_group = (
+            self._data_rows * self.n + self.n - 2
+        ) // (self.n - 1)
 
     # -- capacity ----------------------------------------------------------
     def _mirror_rows_needed(self, data_rows: int) -> int:
         """Image rows a disk must hold when the data region has
         ``data_rows`` rows.
 
-        The image row of local index ℓ is ``(ℓ//(n-1)//n)·(n-1) +
-        ℓ mod (n-1)``; the ``p`` term skews up to ``n-2`` rows past the
-        rotation base, so the region needs slightly *more* than
-        ``data_rows`` rows.  Rows advance uniformly per placement
-        rotation, so scanning the final two rotations finds the max.
+        Each run of ``n`` mirror groups (``n(n-1)`` local indices) puts
+        one ``(n-1)``-row extent on every disk of the group, so a disk
+        group's ``data_rows·n`` local indices span ``⌈data_rows/(n-1)⌉``
+        runs.  The last run holds at least ``n`` indices (a multiple of
+        ``n``), so some disk's top extent is full: the region needs every
+        run's ``n-1`` rows — slightly *more* than ``data_rows``.
         """
-        n = self.n
-        top = data_rows * n
-        lo = max(0, top - 2 * self.n_disks * (n - 1))
-        need = 0
-        for ell in range(lo, top):
-            row = (ell // (n - 1) // n) * (n - 1) + ell % (n - 1) + 1
-            if row > need:
-                need = row
-        return need
+        extent = self.n - 1
+        return -(-data_rows // extent) * extent
 
     def _fit_data_rows(self) -> int:
         """Largest data region whose images still fit below the disk end.
@@ -157,107 +144,49 @@ class RaidxLayout(Layout):
         q, r = divmod(ell, self.n)
         return q * self.n_disks + c * self.n + r
 
+    def mirror_slot(self, block: int) -> tuple[int, int, int, int]:
+        """``(group_id, image_disk, extent_offset, pos)`` of ``block``.
+
+        The OSM formulas in O(1): local index ℓ falls in mirror group
+        ``g = ℓ // (n-1)`` of disk group ``c``, whose clustered extent
+        starts at image row ``(g // n)·(n-1)`` of disk ``c·n + ((g+1)·
+        (n-1)) mod n``; the block's image is ``pos = ℓ mod (n-1)`` blocks
+        into it.
+        """
+        self.check_block(block)
+        n = self.n
+        q, disk = divmod(block, self.n_disks)
+        c, r = divmod(disk, n)
+        g, pos = divmod(q * n + r, n - 1)
+        return (
+            c * self._groups_per_disk_group + g,
+            c * n + (g + 1) * (n - 1) % n,
+            (self._data_rows + g // n * (n - 1)) * self.block_size,
+            pos,
+        )
+
     def mirror_group_of(self, block: int) -> MirrorGroup:
         """The mirror group (clustered image extent) containing ``block``.
 
-        Table-cached: one :class:`MirrorGroup` per block of the first
-        placement rotation, shifted arithmetically for later rotations
-        (image rows advance by ``n-1``, group ids by ``n``, member
-        blocks by the rotation period).  Blocks of the final partial
-        rotation use the formulas directly, since their groups can be
-        truncated.
+        Builds the member tuple; callers that need only the extent use
+        :meth:`mirror_slot`.
         """
-        self.check_block(block)
-        if block >= self._mirror_safe_limit:
-            return self._mirror_group_uncached(block)
-        table = self._mirror_table
-        if table is None:
-            table = self._build_mirror_table()
-        rot, idx = divmod(block, self._mirror_period)
-        base = table[idx]
-        if rot == 0:
-            return base
-        shift = rot * self._mirror_period
-        return MirrorGroup(
-            group_id=base.group_id + rot * self.n,
-            disk_group=base.disk_group,
-            image_disk=base.image_disk,
-            image_offset=base.image_offset
-            + rot * (self.n - 1) * self.block_size,
-            blocks=tuple(b + shift for b in base.blocks),
-        )
-
-    def _build_mirror_table(self) -> tuple:
-        self._mirror_table = tuple(
-            map(self._mirror_group_uncached, range(self._mirror_period))
-        )
-        return self._mirror_table
-
-    def _mirror_group_uncached(self, block: int) -> MirrorGroup:
-        """Pure OSM mirror-placement formula (no caching)."""
-        n = self.n
+        group_id, image_disk, image_offset, pos = self.mirror_slot(block)
         c, ell = self._group_local_index(block)
-        g, _p = divmod(ell, n - 1)
-        image_local = ((g + 1) * (n - 1)) % n
-        image_disk = c * n + image_local
-        image_row = (g // n) * (n - 1)
-        blocks = tuple(
-            self._local_block(c, g * (n - 1) + j)
-            for j in range(n - 1)
-            if g * (n - 1) + j < self._local_blocks_in_group()
-        )
+        first = ell - pos
+        last = min(first + self.n - 1, self._data_rows * self.n)
         return MirrorGroup(
-            group_id=c * self._groups_per_disk_group() + g,
+            group_id=group_id,
             disk_group=c,
             image_disk=image_disk,
-            image_offset=self.mirror_base + image_row * self.block_size,
-            blocks=blocks,
+            image_offset=image_offset,
+            blocks=tuple(self._local_block(c, i) for i in range(first, last)),
         )
 
-    def _local_blocks_in_group(self) -> int:
-        return self.data_rows * self.n
-
-    def _groups_per_disk_group(self) -> int:
-        n = self.n
-        return (self._local_blocks_in_group() + n - 2) // (n - 1)
-
     def redundancy_locations(self, block: int) -> List[Placement]:
-        """Image placement of ``block``.
-
-        Unlike :meth:`mirror_group_of`, the placement shift is exact
-        for *every* block — truncation near the end of the address
-        space changes a group's membership, never where an individual
-        image lands — so the table covers the full address space.
-        """
-        self.check_block(block)
-        table = self._image_table
-        if table is None:
-            table = self._build_image_table()
-        rot, idx = divmod(block, self._mirror_period)
-        disk, base = table[idx]
-        return [Placement(disk, base + rot * (self.n - 1) * self.block_size)]
-
-    def _build_image_table(self) -> tuple:
-        bs = self.block_size
-        n = self.n
-        entries = []
-        for b in range(self._mirror_period):
-            c, ell = self._group_local_index(b)
-            g, p = divmod(ell, n - 1)
-            disk = c * n + ((g + 1) * (n - 1)) % n
-            row = (g // n) * (n - 1)
-            entries.append((disk, self.mirror_base + (row + p) * bs))
-        self._image_table = tuple(entries)
-        return self._image_table
-
-    def _redundancy_locations_uncached(self, block: int) -> List[Placement]:
-        """Pure image-placement formula (no caching)."""
-        mg = self._mirror_group_uncached(block)
-        _c, ell = self._group_local_index(block)
-        p = ell % (self.n - 1)
-        return [
-            Placement(mg.image_disk, mg.image_offset + p * self.block_size)
-        ]
+        """Image placement of ``block``."""
+        _g, disk, offset, pos = self.mirror_slot(block)
+        return [Placement(disk, offset + pos * self.block_size)]
 
     # -- stripes -------------------------------------------------------------
     def stripe_of(self, block: int) -> int:
@@ -272,7 +201,7 @@ class RaidxLayout(Layout):
         """The (at most two) disks carrying the stripe group's images."""
         disks = []
         for b in self.stripe_blocks(stripe):
-            d = self.mirror_group_of(b).image_disk
+            d = self.mirror_slot(b)[1]
             if d not in disks:
                 disks.append(d)
         return disks

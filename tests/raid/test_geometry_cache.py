@@ -1,25 +1,35 @@
-"""Cached placement tables must agree exactly with the pure formulas.
+"""Placement geometry must agree exactly with an independent reference.
 
-Layouts are immutable, so the per-rotation tables built lazily by
-``Layout._build_data_table`` (and the RAID-x mirror/image tables) are
-exact.  These tests sweep *every* logical block of several n×k arrays
-and compare the cached methods against the ``_*_uncached`` formulas,
-including the final partial rotation where RAID-x mirror groups can be
-truncated.
+Data placement is answered from a per-rotation table built lazily by
+``Layout._build_data_table``; those tests compare it with the
+``_data_location_uncached`` formulas on every logical block.
+
+RAID-x mirror and image placement is closed-form arithmetic
+(``RaidxLayout.mirror_slot``).  Its oracle here is a brute-force OSM
+built the way the paper describes the layout: enumerate each disk
+group's data blocks in address order, chunk them into runs of ``n-1``
+(the mirror groups), and give each run the next free clustered extent on
+its image disk.  Every block of several n×k arrays is checked, including
+the truncated tail group of each disk group and an array smaller than
+one placement rotation.
 """
+
+import tracemalloc
 
 import pytest
 
+from repro.raid.layout import Placement
+from repro.raid.plan import Piece, ReadContext
+from repro.raid.planners import RaidxPlanner
 from repro.raid.raid5 import Raid5Layout
 from repro.raid.raid10 import Raid10Layout
 from repro.raid.raidx import RaidxLayout
-
-KiB = 1024
+from repro.units import MB, KiB
 
 
 def _raidx(n, k, rows=None):
     # Odd-ish capacities make the last rotation partial (rows % (n-1)
-    # != 0 for most n), which exercises the truncated-group fallback.
+    # != 0 for most n), which exercises the truncated tail groups.
     rows = rows if rows is not None else 2 * n + 3
     return RaidxLayout(
         n_disks=n * k,
@@ -29,7 +39,35 @@ def _raidx(n, k, rows=None):
     )
 
 
+def _reference_osm(layout):
+    """Brute-force OSM: block -> (group_id, disk_group, image_disk,
+    extent_offset, members)."""
+    n, D, bs = layout.n, layout.n_disks, layout.block_size
+    out = {}
+    group_id = 0
+    for c in range(layout.k):
+        local = [b for b in range(layout.data_blocks) if b % D // n == c]
+        next_row = [0] * n  # next free image row per disk of the group
+        for g, start in enumerate(range(0, len(local), n - 1)):
+            members = tuple(local[start:start + n - 1])
+            image = (g + 1) * (n - 1) % n
+            offset = layout.mirror_base + next_row[image] * bs
+            next_row[image] += n - 1
+            for b in members:
+                out[b] = (group_id, c, c * n + image, offset, members)
+            group_id += 1
+    return out
+
+
 RAIDX_CONFIGS = [(3, 1), (4, 1), (4, 3), (5, 2), (6, 2), (7, 1)]
+
+
+def test_raidx_configs_cover_truncated_tail_groups():
+    truncated = 0
+    for n, k in RAIDX_CONFIGS:
+        ref = _reference_osm(_raidx(n, k))
+        truncated += any(len(m[4]) < n - 1 for m in ref.values())
+    assert truncated >= 3
 
 
 @pytest.mark.parametrize("n,k", RAIDX_CONFIGS)
@@ -42,19 +80,30 @@ def test_raidx_data_location_cached_matches_formula(n, k):
 @pytest.mark.parametrize("n,k", RAIDX_CONFIGS)
 def test_raidx_mirror_group_cached_matches_formula(n, k):
     layout = _raidx(n, k)
-    assert layout.data_blocks > layout._mirror_period, "want >1 rotation"
+    assert layout.data_blocks > n * k * (n - 1), "want >1 rotation"
+    ref = _reference_osm(layout)
     for b in range(layout.data_blocks):
-        assert layout.mirror_group_of(b) == layout._mirror_group_uncached(b)
+        group_id, c, disk, offset, members = ref[b]
+        mg = layout.mirror_group_of(b)
+        assert (
+            mg.group_id, mg.disk_group, mg.image_disk, mg.image_offset,
+            mg.blocks,
+        ) == (group_id, c, disk, offset, members)
+        assert layout.mirror_slot(b) == (
+            group_id, disk, offset, members.index(b)
+        )
 
 
 @pytest.mark.parametrize("n,k", RAIDX_CONFIGS)
 def test_raidx_redundancy_cached_matches_formula(n, k):
     layout = _raidx(n, k)
+    ref = _reference_osm(layout)
     for b in range(layout.data_blocks):
-        assert (
-            layout.redundancy_locations(b)
-            == layout._redundancy_locations_uncached(b)
-        )
+        _gid, _c, disk, offset, members = ref[b]
+        pos = members.index(b)
+        assert layout.redundancy_locations(b) == [
+            Placement(disk, offset + pos * layout.block_size)
+        ]
 
 
 @pytest.mark.parametrize("n,k", RAIDX_CONFIGS)
@@ -68,15 +117,45 @@ def test_raidx_orthogonality_still_holds(n, k):
 
 
 def test_raidx_tiny_array_smaller_than_one_rotation():
-    # data_blocks < mirror period: every block takes the formula path.
     layout = _raidx(5, 1, rows=2)
-    assert layout.data_blocks < layout._mirror_period
+    assert layout.data_blocks < layout.n_disks * (layout.n - 1)
+    ref = _reference_osm(layout)
     for b in range(layout.data_blocks):
-        assert layout.mirror_group_of(b) == layout._mirror_group_uncached(b)
-        assert (
-            layout.redundancy_locations(b)
-            == layout._redundancy_locations_uncached(b)
+        group_id, c, disk, offset, members = ref[b]
+        mg = layout.mirror_group_of(b)
+        assert (mg.group_id, mg.image_disk, mg.image_offset, mg.blocks) == (
+            group_id, disk, offset, members
         )
+        pos = members.index(b)
+        assert layout.redundancy_locations(b) == [
+            Placement(disk, offset + pos * layout.block_size)
+        ]
+
+
+def test_raidx_256_node_lookups_allocate_no_tables():
+    # The trojans disk (10 GB, 32 KiB blocks) on 256 nodes.  A per-rotation
+    # mirror table here would hold D(n-1) groups of n-1 blocks each:
+    # 16.6 M tuple slots, hundreds of MB.
+    bs = 32 * KiB
+    tracemalloc.start()
+    try:
+        layout = RaidxLayout(
+            n_disks=256, block_size=bs, disk_capacity=10_000 * MB
+        )
+        planner = RaidxPlanner(layout)
+        ctx = ReadContext(client=0)
+        top = layout.data_blocks - 1
+        for i in range(10_000):
+            b = i * top // 9_999
+            assert len(layout.mirror_group_of(b).blocks) <= layout.n - 1
+            image = layout.redundancy_locations(b)[0]
+            piece = Piece(b, 0, bs, layout.data_location(b))
+            candidates, _ = planner.read_candidates(piece, frozenset(), ctx)
+            assert candidates[1] == image
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak allocation {peak:,} B"
 
 
 @pytest.mark.parametrize("disks", [3, 4, 5, 8])

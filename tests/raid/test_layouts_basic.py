@@ -48,6 +48,34 @@ def test_capacities_per_layout():
     ) <= rows
 
 
+def _image_rows_scanned(n, data_rows):
+    """Image rows the data region needs, by scanning every local index:
+    ℓ sits at position ℓ mod (n-1) of mirror group ℓ // (n-1), whose
+    extent starts at row (group // n)·(n-1)."""
+    need = 0
+    for ell in range(data_rows * n):
+        group, pos = divmod(ell, n - 1)
+        need = max(need, (group // n) * (n - 1) + pos + 1)
+    return need
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 12])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("rows", [2, 9, 64, 131])
+def test_raidx_mirror_rows_needed_matches_scan(n, k, rows):
+    raidx = lay("raidx", n_disks=n * k, rows=rows, stripe_width=n)
+    for data_rows in range(rows + 1):
+        assert raidx._mirror_rows_needed(data_rows) == _image_rows_scanned(
+            n, data_rows
+        ), data_rows
+    # The data region is the largest one whose images fit.
+    fits = [
+        d for d in range(rows // 2 + 1)
+        if _image_rows_scanned(n, d) <= rows - d
+    ]
+    assert raidx.data_rows == max(fits)
+
+
 def test_unknown_layout_rejected():
     with pytest.raises(ValueError):
         make_layout("raid6", n_disks=4, block_size=1, disk_capacity=8)

@@ -5,7 +5,7 @@ three contracts CI cares about:
 
 * the sharded runner is deterministic — serial and pooled runs of the
   same points produce byte-identical rows (``_scale_point`` returns
-  only simulation-pure metrics, no wall-clock);
+  only simulation-pure metrics, no wall-clock), up to a 256-node point;
 * shards compose with the content-addressed sweep cache — a rerun
   simulates nothing, and raising the replica count re-simulates only
   the new seeds;
@@ -53,6 +53,15 @@ def test_shards_have_independent_arrival_streams():
     b = _scale_point(n_nodes=4, n_requests=400, seed=1)
     assert a["completed"] == b["completed"] == 400
     assert a["hist"] != b["hist"]  # different seeds, different latencies
+
+
+def test_256_node_point_is_deterministic():
+    # The sweep's largest point, at a reduced request count: RAID-x
+    # geometry is closed form, so 256 nodes cost no table build.
+    a = _scale_point(n_nodes=256, n_requests=2000, seed=0)
+    b = _scale_point(n_nodes=256, n_requests=2000, seed=0)
+    assert a["completed"] == 2000 and a["failed"] == 0
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_scale_rows_expose_fast_forward_hits():
