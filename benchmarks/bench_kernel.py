@@ -19,6 +19,10 @@ Pure-kernel scenarios (no device models):
   delivery + process termination events.
 * ``store_producer_consumer`` — P producer/consumer pairs over a
   :class:`~repro.sim.resources.Store`: the cluster message-queue path.
+* ``link_chain``      — P processes contending on one node's CPU work
+  link via ``yield cpu.busy(s)``: the bandwidth-link wait behind every
+  protocol-CPU, driver-entry, memcpy, XOR, SCSI and NIC hop (a link
+  hold, resumed inline like a numeric sleep).
 
 Device fast-forward scenarios (kernel + the disk model, measuring the
 analytic fast-forward of :mod:`repro.hardware.disk` — flip it off with
@@ -46,6 +50,8 @@ import sys
 import time
 from typing import Callable, Dict
 
+from repro.config import CpuParams
+from repro.hardware.cpu import Cpu
 from repro.sim.core import Environment
 from repro.sim.resources import Store
 
@@ -130,6 +136,22 @@ def store_producer_consumer(pairs: int = 20, items: int = 2_000) -> int:
     return pairs * (2 * items + 4)
 
 
+def link_chain(processes: int = 100, holds: int = 2_000) -> int:
+    """P processes each charge E CPU slices on one shared CPU link."""
+    env = Environment()
+    cpu = Cpu(env, CpuParams())
+
+    def proc(seconds):
+        for _ in range(holds):
+            yield cpu.busy(seconds)
+
+    for i in range(processes):
+        env.process(proc(1e-4 * (1.0 + i * 1e-3)))
+    env.run()
+    # Per process: 1 Initialize + E link waits + 1 termination event.
+    return processes * (holds + 2)
+
+
 def disk_drain(requests: int = 8_000) -> int:
     """Drain a deep FIFO backlog on one disk, queued before t=0.
 
@@ -198,6 +220,7 @@ SCENARIOS: Dict[str, Callable[..., int]] = {
     "sleep_chain": sleep_chain,
     "event_relay": event_relay,
     "store_producer_consumer": store_producer_consumer,
+    "link_chain": link_chain,
     "disk_drain": disk_drain,
     "mirror_flush": mirror_flush,
 }

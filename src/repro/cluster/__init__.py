@@ -7,7 +7,7 @@ disk's owner, over the switched fabric, with consistency maintained by a
 replicated lock-group table — no central file server.
 """
 
-from repro.cluster.message import Message, MessageKind, MessageStats, HEADER_BYTES
+from repro.cluster.message import MessageKind, MessageStats, HEADER_BYTES
 from repro.cluster.transport import Transport
 from repro.cluster.consistency import DistributedLockManager, LockGroupTable
 from repro.cluster.cdd import CooperativeDiskDriver
@@ -39,7 +39,6 @@ __all__ = [
     "DistributedLockManager",
     "HEADER_BYTES",
     "LockGroupTable",
-    "Message",
     "MessageKind",
     "MessageStats",
     "NfsSystem",

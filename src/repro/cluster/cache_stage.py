@@ -76,9 +76,9 @@ class _FFCacheHit(Event):
     submit time; this event then occupies the same pop positions the
     phase request would.  An urgent pop at submit time stands in for
     the request process's ``Initialize`` (the trace id allocates there,
-    in submit order, and the memcpy Timeout's heap key is drawn there
+    in submit order, and the memcpy hold's heap key is drawn there
     too); a normal pop at the priced memcpy completion time stands in
-    for the Timeout pop (peer invalidations go out, the cache/request
+    for the hold's pop (peer invalidations go out, the cache/request
     spans record, bytes account, and the destage decision replays); and
     ``done``'s own pop stands in for the request Process pop the
     workload resumes on.  Every heap-key allocation lands at the exact
@@ -125,15 +125,15 @@ class _FFCacheHit(Event):
         st = self.stage_ref
         if self.stage == 0:
             # ≡ request Initialize pop: the body starts — trace id
-            # allocates, then the memcpy claim's completion Timeout
-            # draws a normal key at t1.
+            # allocates, then the memcpy claim's hold draws a normal
+            # key at t1.
             self.stage = 1
             self.callbacks = [self._fire]
             tracer = _obs.TRACER
             self.trace = tracer.new_trace() if tracer.enabled else None
             heappush(env._queue, (self.t1, next(env._seq), self))
             return
-        # ≡ memcpy Timeout pop: the request generator resumes and runs
+        # ≡ memcpy hold pop: the request generator resumes and runs
         # to completion — same actions, same order.
         client = self.client
         tracer = _obs.TRACER
@@ -189,11 +189,11 @@ class _FFFillRun(Event):
        fill-op counters, the ``_active`` bracket; push stage 1 urgent.
     1. piece Initialize (urgent, submit instant) — issue counters; the
        CPU and SCSI claims land here, behind every same-instant memcpy
-       claim the phase path orders first; the CPU Timeout's normal key
+       claim the phase path orders first; the CPU hold's normal key
        at ``t1`` is drawn here.
-    2. CPU Timeout pop (``t1``) — driver-entry span records; the SCSI
-       Timeout's key at ``t2`` is drawn.
-    3. SCSI Timeout pop (``t2``) — bus span records; ``disk.submit``'s
+    2. CPU hold pop (``t1``) — driver-entry span records; the SCSI
+       hold's key at ``t2`` is drawn.
+    3. SCSI hold pop (``t2``) — bus span records; ``disk.submit``'s
        wake-marker push replays (one normal key at now).
     4. dispatch-wake pop (``t2``) — :meth:`Disk.ff_preload` prices and
        arms the completion marker, drawing its key exactly where the
@@ -280,7 +280,7 @@ class _FFFillRun(Event):
             # counters bump and the CPU/SCSI claims land at exactly
             # this slot, behind every same-instant memcpy claim the
             # phase path orders first.  The push at t1 draws the CPU
-            # Timeout's key.
+            # hold's key.
             engine = st.engine
             cdd = engine.cdd(client)
             cdd.issued_ops += 1
@@ -292,8 +292,8 @@ class _FFFillRun(Event):
             self.t2 = node.ff_claim_scsi(self.t1, self.io_nbytes)
             heappush(env._queue, (self.t1, next(env._seq), self))
         elif stage == 2:
-            # ≡ CPU Timeout pop: the driver-entry span records; the
-            # SCSI Timeout's key at t2 is drawn.
+            # ≡ CPU hold pop: the driver-entry span records; the
+            # SCSI hold's key at t2 is drawn.
             if tracer.enabled:
                 tracer.record(
                     CPU_DRIVER, f"node{client}.cpu", self.t0, self.t1,
@@ -301,7 +301,7 @@ class _FFFillRun(Event):
                 )
             heappush(env._queue, (self.t2, next(env._seq), self))
         elif stage == 3:
-            # ≡ SCSI Timeout pop: the bus span records, then the piece
+            # ≡ SCSI hold pop: the bus span records, then the piece
             # submits to the parked disk — one wake-marker push at now.
             if tracer.enabled:
                 tracer.record(
@@ -464,7 +464,7 @@ class CacheStage:
         if not node.fast_forward:
             return None
         cpu_link = node.cpu._work
-        if cpu_link.outstanding or cpu_link.congestion_threshold is not None:
+        if cpu_link.outstanding:
             # A hit is priced on the CPU work link with the same eager
             # arithmetic as the node fast-forward: only legal while the
             # link is provably idle (DESIGN §6.14 applies unchanged).

@@ -27,20 +27,6 @@ class MessageKind(str, Enum):
     RPC_REPLY = "rpc_reply"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One message on the fabric (payload is size-only: timing model)."""
-
-    kind: MessageKind
-    src: int
-    dst: int
-    nbytes: int
-
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError("negative message size")
-
-
 def read_request_size() -> int:
     return HEADER_BYTES
 
@@ -67,12 +53,16 @@ class MessageStats:
     remote_block_ops: int = 0
     local_block_ops: int = 0
 
-    def record(self, msg: Message) -> None:
+    def record(self, kind: MessageKind, nbytes: int) -> None:
+        """Count one message of ``kind`` carrying ``nbytes`` (payload is
+        size-only: timing model)."""
+        if nbytes < 0:
+            raise ValueError("negative message size")
         self.total_messages += 1
-        self.total_bytes += msg.nbytes
-        k = msg.kind.value
+        self.total_bytes += nbytes
+        k = kind.value
         cnt, size = self.by_kind.get(k, (0, 0.0))
-        self.by_kind[k] = (cnt + 1, size + msg.nbytes)
+        self.by_kind[k] = (cnt + 1, size + nbytes)
 
     def summary(self) -> dict:
         return {

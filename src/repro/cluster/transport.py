@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.cluster.message import Message, MessageKind, MessageStats
+from repro.cluster.message import MessageKind, MessageStats
 from repro.config import ClusterConfig
 from repro.hardware.network import Network
 from repro.hardware.node import Node
@@ -51,8 +51,7 @@ class Transport:
         """
         if trace is None and ctx is not None:
             trace = ctx.trace
-        msg = Message(kind=kind, src=src, dst=dst, nbytes=nbytes)
-        self.stats.record(msg)
+        self.stats.record(kind, nbytes)
         net = self.config.network
         tracer = _obs.TRACER
         if src == dst:

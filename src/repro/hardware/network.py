@@ -83,9 +83,9 @@ class Network:
         tx_start = env.now
         tx_end = tx_start
         rx_start = None
+        rx = self.nics[dst].rx
         self._flow_enter(src, dst)
         try:
-            last_rx = None
             pos = 0
             first = True
             while True:
@@ -99,17 +99,19 @@ class Network:
                     # later fragments ride the full pipeline.
                     yield self.params.switch_latency_s
                     first = False
+                # RX occupancy; ``stretch`` is the incast slowdown
+                # (fraction of base time) at the receive port.
                 stretch = self._incast_stretch(src, dst)
                 if rx_start is None:
                     rx_start = env.now
-                last_rx = self.nics[dst].recv_occupancy(
-                    frag, stretch=stretch
-                )
                 pos += frag
                 if pos >= nbytes:
+                    # The last byte lands with the final fragment.
+                    yield rx.hold(frag, stretch=stretch)
                     break
-            if last_rx is not None:
-                yield last_rx
+                # Earlier fragments are received while the next one
+                # transmits: reserve RX without waiting on it.
+                rx.transfer(frag, stretch=stretch)
             if tracer.enabled:
                 tracer.record(
                     NET_TX,

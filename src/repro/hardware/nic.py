@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.config import NetworkParams
 from repro.sim.core import Environment
-from repro.sim.events import Event
 from repro.sim.shared import BandwidthLink
 
 
@@ -37,14 +36,13 @@ class Nic:
         self.track_tx = f"node{node_id}.nic.tx"
         self.track_rx = f"node{node_id}.nic.rx"
 
-    def send_occupancy(self, nbytes: float) -> Event:
-        """Occupy the TX path for ``nbytes``."""
-        return self.tx.transfer(nbytes)
+    def send_occupancy(self, nbytes: float) -> float:
+        """Occupy the TX path for ``nbytes``: a link hold, yielded at once.
 
-    def recv_occupancy(self, nbytes: float, stretch: float = 0.0) -> Event:
-        """Occupy the RX path for ``nbytes``; ``stretch`` is the incast
-        slowdown factor computed by the fabric (fraction of base time)."""
-        return self.rx.transfer(nbytes, stretch=stretch)
+        (The RX path is reserved by the fabric directly, per fragment:
+        see :meth:`repro.hardware.network.Network.send`.)
+        """
+        return self.tx.hold(nbytes)
 
     @property
     def idle(self) -> bool:

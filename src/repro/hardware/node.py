@@ -131,19 +131,19 @@ class FFSpanSynth(Event):
                 return
             heappush(env._queue, (self.t0, next(env._seq) - _KEY_OFFSET, self))
         elif stage == 1:
-            # ≡ piece-process Initialize pop: the CPU claim's completion
-            # Timeout is allocated here (normal key at t1).
+            # ≡ piece-process Initialize pop: the CPU claim's hold
+            # draws its key here (normal key at t1).
             heappush(env._queue, (self.t1, next(env._seq), self))
         elif stage == 2:
-            # ≡ CPU Timeout pop: the driver-entry span records, and the
-            # SCSI transfer's Timeout is allocated (normal key at t2).
+            # ≡ CPU hold pop: the driver-entry span records, and the
+            # SCSI transfer's hold draws its key (normal key at t2).
             tracer.record(
                 CPU_DRIVER, f"node{self.client}.cpu", self.t0, self.t1,
                 trace=self.trace,
             )
             heappush(env._queue, (self.t2, next(env._seq), self))
         elif stage == 3:
-            # ≡ SCSI Timeout pop: the bus span records.  The disk's own
+            # ≡ SCSI hold pop: the bus span records.  The disk's own
             # service span is recorded by its completion marker (armed
             # at preload), which also triggers ``done`` → _on_done.
             tracer.record(
@@ -263,22 +263,16 @@ class Node:
     def ff_claim_cpu(self, seconds: float) -> float:
         """Eagerly claim ``seconds`` of CPU work; returns the finish time.
 
-        ``BandwidthLink.transfer``'s arithmetic, term for term (the CPU
+        The link's own reservation (``BandwidthLink._reserve``; the CPU
         work link's rate-1.0 convention carries seconds of work as
-        "bytes"), minus the completion Timeout — ``outstanding`` stays 0
-        for the window, which is exactly why callers must check the link
-        is idle *before* claiming.  Shared by the node fast-forward's
+        "bytes"), minus the wait — ``outstanding`` stays 0 for the
+        window, which is exactly why callers must check the link is idle
+        *before* claiming.  Shared by the node fast-forward's
         driver-entry hop (DESIGN §6.14) and the cache stage's memcpy hit
         pricing (DESIGN §6.18).
         """
-        link = self.cpu._work
         now = self.env.now
-        start = max(now, link._free_at)
-        duration = seconds / link.rate
-        link._free_at = start + duration
-        link.bytes_carried += seconds
-        link.busy_time += duration
-        return now + (start + duration + link.latency - now)
+        return now + self.cpu._work._reserve(seconds, 0.0, now)
 
     def ff_ready_chain(
         self, disk_id: int, op: str, offset: int, nbytes: int
@@ -294,12 +288,7 @@ class Node:
             return None
         cpu_link = self.cpu._work
         scsi_link = self.scsi._link
-        if (
-            cpu_link.outstanding
-            or scsi_link.outstanding
-            or cpu_link.congestion_threshold is not None
-            or scsi_link.congestion_threshold is not None
-        ):
+        if cpu_link.outstanding or scsi_link.outstanding:
             return None
         nic = self.nic
         if nic is not None and not nic.idle:
@@ -314,23 +303,17 @@ class Node:
 
     def ff_claim_scsi(self, t1: float, nbytes: float) -> float:
         """Eagerly claim a SCSI bus transfer starting no earlier than
-        ``t1``; returns the delivery time.  ``BandwidthLink.transfer``'s
-        arithmetic term for term, minus the completion Timeout — the
-        same eager-claim contract as :meth:`ff_claim_cpu` (the caller
-        must have checked the link idle before claiming).  The phase
-        twin claims at its CPU-Timeout pop with ``now == t1``, and the
-        expression uses ``max(t1, _free_at)``, so claiming early yields
-        identical floats as long as no other claimant can slot in
-        between — which the CPU claim itself guarantees, since every
-        path onto this bus charges the CPU first (DESIGN §6.18).
+        ``t1``; returns the delivery time.  The link's own reservation
+        priced at ``t1``, minus the wait — the same eager-claim contract
+        as :meth:`ff_claim_cpu` (the caller must have checked the link
+        idle before claiming).  The phase twin claims at its CPU hold's
+        pop with ``now == t1``, and the reservation starts at
+        ``max(t1, _free_at)``, so claiming early yields identical floats
+        as long as no other claimant can slot in between — which the CPU
+        claim itself guarantees, since every path onto this bus charges
+        the CPU first (DESIGN §6.18).
         """
-        link = self.scsi._link
-        start = max(t1, link._free_at)
-        duration = nbytes / link.rate
-        link._free_at = start + duration
-        link.bytes_carried += nbytes
-        link.busy_time += duration
-        return t1 + (start + duration + link.latency - t1)
+        return t1 + self.scsi._link._reserve(nbytes, 0.0, t1)
 
     def ff_claim_chain(
         self, disk: Disk, op: str, offset: int, nbytes: int,
@@ -343,9 +326,9 @@ class Node:
 
         The predicate and the claims are split so the cache stage can
         defer the claims to the pop slot where the phase path makes
-        them (DESIGN §6.18); the claim arithmetic itself is
-        ``BandwidthLink.transfer`` term for term, and stays valid while
-        the link queue only grows behind ``_free_at``.
+        them (DESIGN §6.18); the claim arithmetic itself is the link's
+        own reservation, and stays valid while the link queue only grows
+        behind ``_free_at``.
         """
         # Eager CPU claim for the driver-entry work (see ff_claim_cpu).
         t1 = self.ff_claim_cpu(self.config.cpu.kernel_request_overhead_s)

@@ -10,7 +10,6 @@ mechanical service.
 from __future__ import annotations
 
 from repro.sim.core import Environment
-from repro.sim.events import Event
 from repro.sim.shared import BandwidthLink
 from repro.units import MB, US
 
@@ -33,9 +32,10 @@ class ScsiBus:
     def rate(self) -> float:
         return self._link.rate
 
-    def transfer(self, nbytes: float) -> Event:
-        """Occupy the bus for a ``nbytes`` transfer."""
-        return self._link.transfer(nbytes)
+    def transfer(self, nbytes: float) -> float:
+        """Occupy the bus for a ``nbytes`` transfer: a link hold, yielded
+        at once (``yield bus.transfer(n)``)."""
+        return self._link.hold(nbytes)
 
     def utilization(self) -> float:
         return self._link.utilization()

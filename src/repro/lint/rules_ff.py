@@ -126,25 +126,23 @@ GUARDED: Dict[str, FrozenSet[str]] = {
             "ExecutionEngine._flush_one",
         }
     ),
-    # Link claims the closed form prices against (PR 6; the eager
-    # claim arithmetic lives in the ff_claim_* helpers since PR 10).
+    # Link claims the closed form prices against: every reservation,
+    # eager fast-forward claims included, books through _reserve.
     "_free_at": frozenset(
-        {
-            "BandwidthLink.__init__",
-            "BandwidthLink.transfer",
-            "Node.try_fast_forward",
-            "Node.ff_claim_cpu",
-            "Node.ff_claim_scsi",
-        }
+        {"BandwidthLink.__init__", "BandwidthLink._reserve"}
     ),
+    # In-flight link waits: a transfer's Timeout releases its count in
+    # _completed, a hold's sleep in the kernel's dispatch (DESIGN 6.19).
     "outstanding": frozenset(
         {
             "BandwidthLink.__init__",
             "BandwidthLink.transfer",
             "BandwidthLink._completed",
+            "BandwidthLink.hold",
+            "Environment.run",
+            "Environment.step",
         }
     ),
-    "congestion_threshold": frozenset({"BandwidthLink.__init__"}),
 }
 
 #: Method calls that mutate their receiver in place.

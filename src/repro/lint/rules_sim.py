@@ -20,6 +20,8 @@ SIM005    simulation code calls a helper that (transitively) reaches a
           wall-clock read, real sleep, threading, or unseeded
           randomness — the interprocedural extension of SIM001/SIM002,
           reported where the taint *enters* simulation scope
+SIM006    a link hold (``BandwidthLink.hold`` or a wrapper returning
+          it) whose value is not the direct operand of ``yield``
 ========  ==============================================================
 """
 
@@ -268,10 +270,68 @@ class SimTaintRule(ProjectRule):
                     )
 
 
+#: The link wait every hold wrapper bottoms out in (``Class.method``).
+_HOLD = "BandwidthLink.hold"
+
+
+def _operands(fn: ast.AST, kind: type) -> set:
+    """ids of the value nodes of every ``kind`` (Yield/Return) in ``fn``."""
+    return {
+        id(n.value) for n in ast.walk(fn)
+        if isinstance(n, kind) and n.value is not None
+    }
+
+
+class SimHoldYieldRule(ProjectRule):
+    """SIM006: a link hold is yielded the moment it is booked.
+
+    ``BandwidthLink.hold`` tags the active process's sleep with the
+    link, and the kernel releases the link's ``outstanding`` when that
+    sleep pops (DESIGN §6.19), so the returned delay must be yielded at
+    once.  A call resolving (either call-graph tier) to ``hold``, or to
+    a wrapper that directly ``return``s one (to a fixpoint:
+    ``Cpu.xor`` → ``Cpu.busy`` → ``hold``), must be the direct operand
+    of ``yield`` — or be returned directly, making its caller a wrapper.
+    """
+
+    code = "SIM006"
+    summary = "link hold not yielded at once"
+
+    def check_project(self, mods: Sequence[ModuleInfo]) -> Iterator[Finding]:
+        graph = get_callgraph(mods)
+        fns = graph.functions
+        holds = {q for q, fn in fns.items() if fn.site_key == _HOLD}
+        rets = {q: _operands(fn.node, ast.Return) for q, fn in fns.items()}
+        grown = bool(holds)
+        while grown:
+            wrappers = {
+                q for q, sites in graph.sites.items()
+                if any(c in holds and id(call) in rets[q]
+                       for c, call, _ in sites)
+            }
+            grown = not wrappers <= holds
+            holds |= wrappers
+        for q, sites in graph.sites.items():
+            fn = fns[q]
+            if not fn.mod.in_sim_scope:
+                continue
+            legal = rets[q] | _operands(fn.node, ast.Yield)
+            for callee, call, _certain in sites:
+                if callee in holds and id(call) not in legal:
+                    yield fn.mod.finding(
+                        call, self.code,
+                        f"{fns[callee].site_key}() books a link hold whose "
+                        "delay must be yielded at once; use "
+                        "BandwidthLink.transfer() for a wait that is "
+                        "stored, composed, or yielded later",
+                    )
+
+
 RULES = (
     SimWallClockRule(),
     SimRandomnessRule(),
     SimYieldRule(),
     SimTimeoutFormRule(),
     SimTaintRule(),
+    SimHoldYieldRule(),
 )

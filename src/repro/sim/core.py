@@ -8,9 +8,8 @@ event is processed, receiving the event's value at the ``yield``.
 Hot path
 --------
 Every simulated disk seek, network hop, and CPU slice is one trip
-through ``run`` → callbacks → ``Process._resume`` → a fresh
-:class:`Timeout`, so this module is written for throughput (see
-``benchmarks/bench_kernel.py``):
+through ``run``'s event loop, so this module is written for throughput
+(see ``benchmarks/bench_kernel.py``):
 
 * ``run`` inlines the event loop instead of calling :meth:`step` per
   event, with the heap and ``heappop`` bound to locals;
@@ -19,6 +18,10 @@ through ``run`` → callbacks → ``Process._resume`` → a fresh
   event per process, and the run loop resumes it *inline* — no
   callback dispatch, no ``_resume`` frame — re-arming the same event
   with ``heappushpop`` (one heap sift per sleep instead of two);
+* bandwidth-link waits (every CPU, SCSI and NIC hop) are such sleeps:
+  ``yield link.hold(n)`` tags the process's ``_Sleep`` with the link,
+  and the inline resume releases the link's ``outstanding`` count
+  before driving the generator (DESIGN §6.19);
 * :meth:`Environment.timeout` recycles processed ``Timeout`` objects
   from a free list — the run loop returns a ``Timeout`` to the pool
   only when ``sys.getrefcount`` proves nothing else references it, so
@@ -79,14 +82,6 @@ class EmptySchedule(Exception):
     """Internal: the event queue has drained."""
 
 
-class StopProcess(Exception):
-    """Internal carrier for a process's return value (legacy exit path)."""
-
-    def __init__(self, value: Any):
-        super().__init__(value)
-        self.value = value
-
-
 class _Sleep(Event):
     """Internal: a process's reusable numeric-sleep event.
 
@@ -96,9 +91,16 @@ class _Sleep(Event):
     generic path) processes it identically.  An interrupt abandons an
     in-flight sleep by clearing ``process``; the orphaned heap entry is
     then skipped when popped.
+
+    ``link`` is the ``BandwidthLink`` a hold tagged this sleep with (or
+    ``None``); both dispatch paths release its ``outstanding`` when the
+    entry pops, before resuming, orphaned or not (DESIGN §6.19).
     """
 
-    __slots__ = ("process", "generator")
+    __slots__ = ("process", "generator", "link")
+    process: Optional["Process"]
+    generator: Generator
+    link: Any  # Optional[BandwidthLink] (repro.sim.shared imports core)
 
 
 class Recurring(Event):
@@ -296,6 +298,9 @@ class Environment:
         except IndexError:
             raise EmptySchedule() from None
         self.processed_events += 1
+        if isinstance(event, _Sleep) and event.link is not None:
+            event.link.outstanding -= 1
+            event.link = None
 
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:  # pragma: no cover - defensive
@@ -373,6 +378,10 @@ class Environment:
                         # interrupt path reads it, and it must stay
                         # intact there.  A _Sleep therefore never
                         # reports ``processed``.
+                        link = event.link
+                        if link is not None:  # a link hold ends
+                            link.outstanding -= 1
+                            event.link = None
                         process = event.process
                         if process is None:
                             # Abandoned by an interrupt mid-flight.
@@ -381,7 +390,7 @@ class Environment:
                         self._active_process = process
                         try:
                             nxt = event.generator.send(None)
-                        except (StopIteration, StopProcess) as exc:
+                        except StopIteration as exc:
                             process._finish(exc.value)
                             self._active_process = None
                             break
@@ -504,7 +513,7 @@ class Process(Event):
         # bound-method allocation every time (Initialize reuses it too).
         self._wake = self._resume
         # Reusable sleep event for numeric yields (created on first use).
-        self._sleep: Optional[Event] = None
+        self._sleep: Optional[_Sleep] = None
         self._sleep_cbs: Optional[list] = None
         # defer_init builds the Initialize unscheduled; the caller
         # (Environment.process_many) bulk-queues it.
@@ -539,7 +548,7 @@ class Process(Event):
                         # The awaited event failed: deliver its exception.
                         event._defused = True
                         next_event = generator.throw(event._value)
-                except (StopIteration, StopProcess) as exc:
+                except StopIteration as exc:
                     self._finish(exc.value)
                     break
                 except BaseException as exc:
@@ -563,14 +572,7 @@ class Process(Event):
                             # means the event was fully processed.
                             sleep.callbacks = self._sleep_cbs
                         else:
-                            sleep = _Sleep(env)
-                            sleep._ok = True
-                            sleep._value = None
-                            sleep.process = self
-                            sleep.generator = generator
-                            self._sleep = sleep
-                            cbs = self._sleep_cbs = sleep.callbacks
-                            cbs.append(self._wake)
+                            sleep = self._hold_sleep()
                         heappush(
                             env._queue,
                             (env._now + next_event, next(env._seq), sleep),
@@ -611,75 +613,44 @@ class Process(Event):
         """Handle a yielded value after an inline sleep resume.
 
         The run loop drives numeric-to-numeric sleeps itself; anything
-        else the generator yields after a sleep lands here — an event to
-        park on, an already-processed event to deliver immediately, a
-        negative delay to reject, or a non-event to fail on.  Mirrors
-        the corresponding arms of :meth:`_resume`.
+        else the generator yields after a sleep lands here.  A pending
+        event parks directly; an already-processed event, a negative
+        delay, or a non-event takes the matching arm of :meth:`_resume`.
         """
-        env = self.env
-        generator = self._generator
-        wake = self._wake
-        while True:
-            cls = next_event.__class__
-            if cls is float or cls is int:
-                if next_event >= 0:
-                    sleep = self._sleep
-                    if sleep is not None:
-                        sleep.callbacks = self._sleep_cbs
-                    else:
-                        sleep = _Sleep(env)
-                        sleep._ok = True
-                        sleep._value = None
-                        sleep.process = self
-                        sleep.generator = generator
-                        self._sleep = sleep
-                        cbs = self._sleep_cbs = sleep.callbacks
-                        cbs.append(wake)
-                    heappush(
-                        env._queue,
-                        (env._now + next_event, next(env._seq), sleep),
-                    )
-                    self._target = sleep
-                    return
-                try:
-                    next_event = generator.throw(
-                        ValueError(f"negative timeout delay {next_event!r}")
-                    )
-                except (StopIteration, StopProcess) as exc:
-                    self._finish(exc.value)
-                    return
-                except BaseException as exc:
-                    self._fail_out(exc)
-                    return
-                continue
+        cls = next_event.__class__
+        if cls is float or cls is int:  # negative: the run loop took >= 0
+            err = Event(self.env)
+            err._ok = False
+            err._value = ValueError(f"negative timeout delay {next_event!r}")
+            self._resume(err)
+            return
+        try:
+            callbacks = next_event.callbacks
+        except AttributeError:
+            self._fail_out(
+                TypeError(f"process yielded a non-event: {next_event!r}")
+            )
+            return
+        if callbacks is not None:
+            callbacks.append(self._wake)
+            self._target = next_event
+        else:
+            self._resume(next_event)  # already processed: deliver now
 
-            try:
-                callbacks = next_event.callbacks
-            except AttributeError:
-                self._fail_out(
-                    TypeError(f"process yielded a non-event: {next_event!r}")
-                )
-                return
-
-            if callbacks is not None:
-                callbacks.append(wake)
-                self._target = next_event
-                return
-
-            # Already processed: deliver its outcome immediately.
-            event = next_event
-            try:
-                if event._ok:
-                    next_event = generator.send(event._value)
-                else:
-                    event._defused = True
-                    next_event = generator.throw(event._value)
-            except (StopIteration, StopProcess) as exc:
-                self._finish(exc.value)
-                return
-            except BaseException as exc:
-                self._fail_out(exc)
-                return
+    def _hold_sleep(self) -> _Sleep:
+        """The reusable sleep the next numeric yield arms (created on
+        first use, so ``BandwidthLink.hold`` can tag it before)."""
+        sleep = self._sleep
+        if sleep is None:
+            sleep = self._sleep = _Sleep(self.env)
+            sleep._ok = True
+            sleep._value = None
+            sleep.process = self
+            sleep.generator = self._generator
+            sleep.link = None
+            cbs = self._sleep_cbs = sleep.callbacks
+            cbs.append(self._wake)
+        return sleep
 
     def _finish(self, value: Any) -> None:
         self._target = None

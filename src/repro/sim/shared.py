@@ -3,8 +3,8 @@
 Two link models are provided:
 
 * :class:`BandwidthLink` — FIFO serialization: one transfer at a time at
-  full rate.  Matches a NIC transmit path or a SCSI bus at message
-  granularity.
+  full rate.  Matches a NIC transmit path, a SCSI bus, or a CPU work
+  queue at message granularity.
 * :class:`SharedChannel` — processor-sharing: concurrent transfers split
   the rate equally, with exact completion-time recomputation on every
   arrival/departure.  Matches a switch backplane or a disk serving
@@ -22,8 +22,10 @@ from repro.sim.events import Event
 class BandwidthLink:
     """A FIFO pipe with fixed rate and per-transfer fixed latency.
 
-    ``transfer(nbytes)`` returns an event that triggers when the transfer
-    (queueing + latency + nbytes/rate) completes.
+    A wait (queueing + latency + nbytes/rate) is either ``yield
+    link.hold(n)`` — a numeric sleep the kernel resumes inline (DESIGN
+    §6.19) — or ``link.transfer(n)``, an event for a wait not yielded at
+    once.  Both count in ``outstanding`` until their heap entry pops.
     """
 
     def __init__(
@@ -32,30 +34,15 @@ class BandwidthLink:
         rate: float,
         latency: float = 0.0,
         name: str = "",
-        congestion_threshold: Optional[int] = None,
-        congestion_penalty: float = 0.0,
-        congestion_max_stretch: float = 1.5,
     ):
-        """``congestion_threshold``/``congestion_penalty`` model goodput
-        collapse under deep queues (era TCP over Fast Ethernet: loss and
-        retransmission under fan-in): each transfer beyond ``threshold``
-        outstanding stretches service time by ``penalty`` fractionally,
-        up to an extra ``congestion_max_stretch`` × the base duration
-        (goodput floors rather than hitting zero).
-        """
         if rate <= 0:
             raise ValueError("rate must be positive")
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        if congestion_penalty < 0:
-            raise ValueError("congestion penalty must be non-negative")
         self.env = env
         self.rate = float(rate)
         self.latency = float(latency)
         self.name = name
-        self.congestion_threshold = congestion_threshold
-        self.congestion_penalty = float(congestion_penalty)
-        self.congestion_max_stretch = float(congestion_max_stretch)
         #: Simulated time at which the link next becomes free.
         self._free_at = env.now
         #: Transfers enqueued but not yet completed.
@@ -65,40 +52,51 @@ class BandwidthLink:
         self.busy_time = 0.0
         self.congestion_delay = 0.0
 
-    def transfer(self, nbytes: float, stretch: float = 0.0) -> Event:
-        """Occupy the link for ``nbytes`` and return the completion event.
-
-        ``stretch`` adds that fraction of the base duration (used by the
-        fabric's incast model); the link's own queue-depth congestion
-        model (if configured) composes on top.
-        """
+    def _reserve(self, nbytes: float, stretch: float, at: float) -> float:
+        """Book ``nbytes`` starting no earlier than ``at``; returns the
+        delay from ``at`` to completion.  The link's one copy of its
+        float arithmetic (waits and fast-forward claims alike);
+        ``outstanding`` is the caller's."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if stretch < 0:
             raise ValueError("stretch must be non-negative")
-        start = max(self.env.now, self._free_at)
+        start = max(at, self._free_at)
         duration = nbytes / self.rate
         if stretch:
             extra = duration * stretch
             duration += extra
             self.congestion_delay += extra
-        if (
-            self.congestion_threshold is not None
-            and self.outstanding > self.congestion_threshold
-        ):
-            excess = self.outstanding - self.congestion_threshold
-            factor = min(
-                self.congestion_penalty * excess, self.congestion_max_stretch
-            )
-            extra = duration * factor
-            duration += extra
-            self.congestion_delay += extra
         self._free_at = start + duration
         self.bytes_carried += nbytes
         self.busy_time += duration
+        return start + duration + self.latency - at
+
+    def hold(self, nbytes: float, stretch: float = 0.0) -> float:
+        """Occupy the link for ``nbytes``; returns the delay the active
+        process must yield at once.  The wait is the process's own
+        sleep, tagged so the kernel releases ``outstanding`` when it
+        pops.  ``stretch`` adds that fraction of the base duration (the
+        fabric's incast model)."""
+        env = self.env
+        process = env._active_process
+        if process is None:
+            raise RuntimeError("BandwidthLink.hold() outside a process")
+        sleep = process._hold_sleep()
+        if sleep.link is not None:
+            raise RuntimeError(
+                "BandwidthLink.hold() before the previous hold was yielded"
+            )
+        delay = self._reserve(nbytes, stretch, env._now)
         self.outstanding += 1
-        done = start + duration + self.latency - self.env.now
-        ev = self.env.timeout(done)
+        sleep.link = self
+        return delay
+
+    def transfer(self, nbytes: float, stretch: float = 0.0) -> Event:
+        """Occupy the link for ``nbytes``; returns the completion event."""
+        env = self.env
+        ev = env.timeout(self._reserve(nbytes, stretch, env._now))
+        self.outstanding += 1
         ev.callbacks.append(self._completed)
         return ev
 

@@ -43,6 +43,17 @@ def test_message_stats_recorded():
     assert s.by_kind["write_req"][0] == 1
 
 
+def test_message_stats_reject_negative_size():
+    cluster = Cluster(small_config(n=4))
+
+    def p():
+        yield from cluster.transport.message(MessageKind.READ_REQ, 0, 1, -1)
+
+    with pytest.raises(ValueError, match="negative message size"):
+        run_proc(cluster, p())
+    assert cluster.transport.stats.total_messages == 0
+
+
 def test_local_block_io_skips_network():
     cluster = build_cluster(small_config(n=4), architecture="raid0")
     cdd = cluster.cdds[0]

@@ -293,7 +293,27 @@ def test_float_cache_pricing_helper_is_silent():
     assert findings == []
 
 
-def test_claim_helpers_own_free_at_writes():
+def test_link_reserve_owns_free_at_writes():
+    # Every reservation, the fast-forward's eager claims included, books
+    # through BandwidthLink._reserve: the claim helpers only call it.
+    findings = lint({
+        "repro.sim.shared2": """
+            class BandwidthLink:
+                def _reserve(self, nbytes, stretch, at):
+                    start = max(at, self._free_at)
+                    self._free_at = start + nbytes / self.rate
+                    return self._free_at - at
+            """,
+        "repro.hardware.node2": """
+            class Node:
+                def ff_claim_scsi(self, t1, nbytes):
+                    return t1 + self.scsi._link._reserve(nbytes, 0.0, t1)
+            """,
+    })
+    assert findings == []
+
+
+def test_free_at_write_in_claim_helper_fires():
     findings = lint({
         "repro.hardware.node2": """
             class Node:
@@ -303,7 +323,25 @@ def test_claim_helpers_own_free_at_writes():
                     return link._free_at
             """,
     })
-    assert findings == []
+    assert codes(findings) == {"FF001"}
+    assert "ff_claim_scsi" in findings[0].message
+
+
+def test_kernel_releases_hold_outstanding():
+    # The kernel's dispatch owns a hold's release (DESIGN 6.19); any
+    # other Environment method decrementing a link count is flagged.
+    findings = lint({
+        "repro.sim.core2": """
+            class Environment:
+                def run(self, event):
+                    event.link.outstanding -= 1
+
+                def peek(self, event):
+                    event.link.outstanding -= 1
+            """,
+    })
+    assert codes(findings) == {"FF001"}
+    assert len(findings) == 1 and "Environment.peek" in findings[0].message
 
 
 def test_preload_without_guard_fires():

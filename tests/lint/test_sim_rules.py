@@ -156,3 +156,89 @@ def test_sim004_silent_on_plain_numeric_yield():
             yield 3.0
         """
     )
+
+
+# -- SIM006: link holds are yielded at once ------------------------------
+
+_LINK = """
+class BandwidthLink:
+    def hold(self, nbytes):
+        return nbytes / self.rate
+
+    def transfer(self, nbytes):
+        return self.env.timeout(nbytes / self.rate)
+
+
+class Cpu:
+    def busy(self, seconds):
+        return self._work.hold(seconds)
+
+    def memcpy(self, nbytes):
+        return self.busy(nbytes / self.rate)
+"""
+
+
+def sim006(body: str) -> list:
+    src = _LINK + textwrap.dedent(body)
+    return lint_one("repro.hardware.fixture", src, select="SIM006")
+
+
+def test_sim006_fires_on_stored_or_composed_hold():
+    found = sim006(
+        """
+        def stored(link):
+            delay = link.hold(10)
+            yield delay
+
+        def composed(env, link, cpu):
+            yield env.all_of([link.hold(1), cpu.busy(2)])
+
+        def delegated(link):
+            yield from link.hold(3)
+        """
+    )
+    assert [f.rule for f in found] == ["SIM006"] * 4
+    assert {f.line for f in found} == {
+        _LINK.count("\n") + n for n in (3, 7, 10)
+    }
+
+
+def test_sim006_follows_wrappers_of_wrappers():
+    found = sim006(
+        """
+        def proc(env, cpu):
+            copy = cpu.memcpy(4096)
+            yield env.timeout(0)
+            yield copy
+        """
+    )
+    assert len(found) == 1
+    assert "Cpu.memcpy()" in found[0].message
+
+
+def test_sim006_silent_on_direct_yield_return_and_transfer():
+    assert sim006(
+        """
+        def proc(env, link, cpu):
+            yield link.hold(10)
+            yield cpu.busy(1)
+            value = yield cpu.memcpy(64)
+            pending = link.transfer(5)
+            yield pending
+            return value
+
+        class Nic:
+            def send_occupancy(self, nbytes):
+                return self.tx.hold(nbytes)
+        """
+    ) == []
+
+
+def test_sim006_silent_outside_sim_scope():
+    src = _LINK + textwrap.dedent(
+        """
+        def measure(link):
+            return [link.hold(1)]
+        """
+    )
+    assert lint_one("repro.bench.fixture", src, select="SIM006") == []

@@ -5,12 +5,13 @@ import pytest
 
 from repro.sim import (
     AnyOf,
+    BandwidthLink,
     Environment,
     Event,
     Interrupt,
     SharedChannel,
 )
-from repro.sim.core import SimulationError
+from repro.sim.core import EmptySchedule, SimulationError
 
 
 def test_interrupt_racing_completion_is_lost(env):
@@ -53,6 +54,124 @@ def test_interrupted_process_can_continue(env):
     env.process(attacker(env))
     env.run()
     assert out == ["poked", "poked", "slept"]
+
+
+@pytest.mark.parametrize("mode", ["hold", "transfer"])
+def test_interrupt_during_link_wait_releases_at_orphan_pop(env, mode):
+    """An interrupted link wait keeps its reservation until its heap
+    entry pops: ``outstanding`` drops at the orphan's pop (t=10), not at
+    the interrupt (t=1), for a hold exactly as for a transfer."""
+    link = BandwidthLink(env, rate=1.0)
+    seen = []
+
+    def wait(n):
+        return link.hold(n) if mode == "hold" else link.transfer(n)
+
+    def victim(env):
+        try:
+            yield wait(10)
+        except Interrupt:
+            seen.append(("poked", env.now, link.outstanding))
+        yield wait(1)  # queues behind the orphaned reservation
+        seen.append(("done", env.now, link.outstanding))
+
+    proc = env.process(victim(env))
+
+    def attacker(env):
+        yield 1
+        proc.interrupt()
+        yield 4
+        seen.append(("t5", env.now, link.outstanding))
+        yield 5.5
+        seen.append(("t10.5", env.now, link.outstanding))
+
+    env.process(attacker(env))
+    env.run()
+    assert seen == [
+        ("poked", 1, 1),
+        ("t5", 5, 2),
+        ("t10.5", 10.5, 1),
+        ("done", 11, 0),
+    ]
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_interrupted_hold_under_step_and_run(drive):
+    """The generic ``step`` path releases an orphaned hold exactly where
+    the inlined ``run`` loop does."""
+    env = Environment()
+    link = BandwidthLink(env, rate=1.0)
+    trail = []
+
+    def victim(env):
+        try:
+            yield link.hold(3)
+        except Interrupt:
+            trail.append((env.now, link.outstanding))
+        yield 4
+        trail.append((env.now, link.outstanding))
+
+    proc = env.process(victim(env))
+
+    def attacker(env):
+        yield 1
+        proc.interrupt()
+
+    env.process(attacker(env))
+    if drive == "run":
+        env.run()
+    else:
+        while True:
+            try:
+                env.step()
+            except EmptySchedule:
+                break
+    assert trail == [(1, 1), (5, 0)]
+    assert env.processed_events == 8
+
+
+def test_yields_after_inline_sleep_take_resume_arms(env):
+    """What a process yields right after an inline sleep resume — a
+    negative delay, an already-processed event (ok or failed), a
+    non-event — is handled exactly as after any other wait."""
+    ok = env.event()
+    ok.succeed("v")
+    bad = env.event()
+    bad.fail(KeyError("k"))
+    bad.defused()
+    env.run()  # both are processed now
+    log = []
+
+    def p(env):
+        yield 1.0
+        try:
+            yield -1.0
+        except ValueError:
+            log.append(("negative", env.now))
+        yield 1.0
+        log.append(("ok", (yield ok), env.now))
+        yield 1.0
+        try:
+            yield bad
+        except KeyError:
+            log.append(("failed", env.now))
+        yield 1.0
+        yield "not an event"
+
+    proc = env.process(p(env))
+
+    def watcher(env):
+        try:
+            yield proc
+        except TypeError:
+            log.append(("non-event", env.now))
+
+    env.process(watcher(env))
+    env.run()
+    assert log == [
+        ("negative", 1.0), ("ok", "v", 2.0), ("failed", 3.0),
+        ("non-event", 4.0),
+    ]
 
 
 def test_event_trigger_mirrors_success(env):

@@ -6,8 +6,8 @@ import repro
 from repro.cluster.message import (
     ACK_BYTES,
     HEADER_BYTES,
-    Message,
     MessageKind,
+    MessageStats,
     read_reply_size,
     read_request_size,
     write_ack_size,
@@ -97,7 +97,7 @@ def test_message_sizes():
     assert write_request_size(1000) == HEADER_BYTES + 1000
     assert write_ack_size() == ACK_BYTES
     with pytest.raises(ValueError):
-        Message(MessageKind.READ_REQ, 0, 1, -1)
+        MessageStats().record(MessageKind.READ_REQ, -1)
 
 
 def test_units_constants():
