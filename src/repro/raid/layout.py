@@ -12,14 +12,12 @@ clients as one contiguous virtual disk (the single I/O space).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.errors import AddressError, ConfigurationError, LayoutError
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """A physical location: disk id and byte offset on that disk."""
 
     disk: int

@@ -71,12 +71,7 @@ class Planner:
                 f"of {capacity} bytes"
             )
         return [
-            Piece(
-                block=block,
-                intra=intra,
-                nbytes=take,
-                placement=self.layout.data_location(block),
-            )
+            Piece(block, intra, take, self.layout.data_location(block))
             for block, intra, take in split_into_blocks(
                 offset, nbytes, self.layout.block_size
             )

@@ -278,11 +278,12 @@ class OpenLoopWorkload:
                     "placement='local' needs a block layout "
                     "(not available on this storage system)"
                 )
-            owners = [
-                layout.data_location(b).disk % n_nodes
-                for b in range(self.n_blocks)
-            ]
-            clients = [owners[b] for b in blocks.tolist()]
+            drawn = blocks.tolist()
+            owners = {
+                b: layout.data_location(b).disk % n_nodes
+                for b in dict.fromkeys(drawn)
+            }
+            clients = [owners[b] for b in drawn]
         else:
             clients = [
                 client_node(self.cluster, i) for i in range(n)

@@ -98,11 +98,6 @@ def test_cache002_silent_on_cache_internal_and_base_imports():
     })
 
 
-def test_repo_is_cache_clean():
-    from repro.lint import lint_paths
-
-    findings = [
-        f for f in lint_paths(["src"])
-        if f.rule.startswith("CACHE")
-    ]
+def test_repo_is_cache_clean(src_findings):
+    findings = [f for f in src_findings if f.rule.startswith("CACHE")]
     assert findings == []

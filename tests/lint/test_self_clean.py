@@ -7,16 +7,13 @@ this test the same way it fails the CI lint job.
 
 from __future__ import annotations
 
-from pathlib import Path
+from tests.lint.util import REPO_SRC
 
-from repro.lint import lint_paths
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 BASELINE = REPO_SRC.parent / "lint-baseline.json"
 
 
-def test_src_lints_clean():
-    findings = lint_paths([str(REPO_SRC)])
+def test_src_lints_clean(src_findings):
+    findings = list(src_findings)
     assert findings == [], "\n".join(f.render() for f in findings)
 
 

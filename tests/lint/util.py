@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.lint import Finding, lint_sources
+
+#: The repository's own source tree, as the self-check tests lint it.
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def codes(findings: list[Finding]) -> set[str]:
