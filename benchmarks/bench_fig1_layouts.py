@@ -18,9 +18,10 @@ def test_fig1_layout_maps(benchmark):
         "raidx", n_disks=4, block_size=1, disk_capacity=8, stripe_width=4
     )
     # Fig. 1a: images of (B0,B1,B2) clustered on Disk 3, next group on D2.
-    assert raidx.mirror_group_of(0).image_disk == 3
-    assert raidx.mirror_group_of(3).image_disk == 2
-    assert raidx.mirror_group_of(0).blocks == (0, 1, 2)
+    slots = [raidx.mirror_slot(b) for b in range(3)]
+    assert len({s[0] for s in slots}) == 1
+    assert [(s[1], s[3]) for s in slots] == [(3, 0), (3, 1), (3, 2)]
+    assert raidx.mirror_slot(3)[1] == 2
     # Images of a 4-block stripe land on exactly two disks.
     assert len(raidx.stripe_image_disks(0)) == 2
 

@@ -17,28 +17,80 @@ Combines three of the library's analysis tools:
 from repro.analysis.report import render_sparkline, render_table
 from repro.checkpoint import CheckpointConfig, CheckpointRun, plan_interval
 from repro.cluster.cluster import build_cluster
-from repro.cluster.monitoring import ClusterMonitor
 from repro.config import trojans_cluster
 from repro.fault import mttdl_raidx, simulate_mttdl
+from repro.obs.load import collect_load
 from repro.raid import make_layout
 from repro.units import KiB, MB
 from repro.workloads.parallel_io import ParallelIOWorkload
+
+METRICS = ("disk_utilization", "network_utilization", "cpu_utilization")
+
+
+def busy_totals(cluster):
+    """(disk, network, CPU) busy seconds from a fresh load snapshot."""
+    counters = collect_load(cluster).snapshot()["counters"]
+    disk = sum(counters[f"load.disk{d.disk_id}.busy_s"]
+               for d in cluster.all_disks())
+    net = sum(counters[f"load.nic{nic.node_id}.tx_busy_s"]
+              + counters[f"load.nic{nic.node_id}.rx_busy_s"]
+              for nic in cluster.network.nics)
+    cpu = sum(counters[f"load.node{node.node_id}.cpu_busy_s"]
+              for node in cluster.nodes)
+    return disk, net, cpu
+
+
+class UtilizationSampler:
+    """Interval-local disk/network/CPU utilization of a running cluster.
+
+    Each sample is the busy time accrued since the previous one divided
+    by the elapsed time and the device count, so the series shows load
+    changes (ramp-up, drain) rather than a running average.
+    """
+
+    def __init__(self, cluster, interval):
+        self.cluster = cluster
+        self.interval = interval
+        self.series = {m: [] for m in METRICS}
+        self._last = busy_totals(cluster)
+        self._last_time = cluster.env.now
+
+    def run(self):
+        """Process generator: one sample per ``interval``, forever."""
+        while True:
+            yield self.interval
+            self.sample()
+
+    def sample(self):
+        """Append one sample covering the time since the previous one."""
+        cluster = self.cluster
+        elapsed = cluster.env.now - self._last_time
+        if elapsed <= 0:
+            return
+        counts = (
+            max(1, cluster.n_disks),
+            max(1, 2 * len(cluster.network.nics)),
+            max(1, len(cluster.nodes)),
+        )
+        totals = busy_totals(cluster)
+        for metric, busy, last, n in zip(METRICS, totals, self._last, counts):
+            self.series[metric].append(min(1.0, (busy - last) / (elapsed * n)))
+        self._last = totals
+        self._last_time = cluster.env.now
 
 
 def utilization_timeline() -> None:
     from repro.analysis.bottleneck import bottleneck, usage_table
 
     cluster = build_cluster(trojans_cluster(), architecture="raidx")
-    monitor = ClusterMonitor(cluster, interval=0.02)
-    monitor.start()
+    sampler = UtilizationSampler(cluster, interval=0.02)
+    cluster.env.process(sampler.run())
     r = ParallelIOWorkload(cluster, 12, op="write", size=2 * MB).run()
-    monitor.stop()
+    sampler.sample()  # the partial interval since the last tick
     print(f"write burst: {r.aggregate_bandwidth_mb_s:.1f} MB/s aggregate")
-    for metric in ("disk_utilization", "network_utilization",
-                   "cpu_utilization"):
-        series = monitor.log.series(metric)
+    for metric, series in sampler.series.items():
         print(
-            f"  {metric:20s} peak {monitor.log.peak(metric):5.0%}  "
+            f"  {metric:20s} peak {max(series):5.0%}  "
             f"|{render_sparkline(series)}|"
         )
     hot = bottleneck(cluster)

@@ -10,7 +10,6 @@ from repro.analysis.peak import PeakModel, peak_table, FORMULAS
 from repro.analysis.scalability import (
     improvement_factor,
     scaling_efficiency,
-    speedup_series,
 )
 from repro.analysis.report import render_series, render_table
 
@@ -26,5 +25,4 @@ __all__ = [
     "render_series",
     "render_table",
     "scaling_efficiency",
-    "speedup_series",
 ]

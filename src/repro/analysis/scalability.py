@@ -6,7 +6,7 @@ factor" — aggregate bandwidth at 12 clients over 1 client.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 
 def improvement_factor(bw_one_client: float, bw_n_clients: float) -> float:
@@ -28,60 +28,3 @@ def scaling_efficiency(
     return [
         (b / b0) / (c / c0) for c, b in zip(clients, bandwidth)
     ]
-
-
-def speedup_series(
-    clients: Sequence[int], bandwidth: Sequence[float]
-) -> List[float]:
-    """BW(c)/BW(first) for each point."""
-    if not clients or len(clients) != len(bandwidth):
-        raise ValueError("series must be equal-length and non-empty")
-    b0 = bandwidth[0]
-    if b0 <= 0:
-        raise ValueError("baseline bandwidth must be positive")
-    return [b / b0 for b in bandwidth]
-
-
-def crossover_points(
-    xs: Sequence[float],
-    series_a: Sequence[float],
-    series_b: Sequence[float],
-) -> List[Tuple[float, float]]:
-    """x positions where series A and B cross (linear interpolation).
-
-    Useful for "where does architecture A start beating B" questions.
-    """
-    if not (len(xs) == len(series_a) == len(series_b)):
-        raise ValueError("series must be equal length")
-    out: List[Tuple[float, float]] = []
-    for i in range(1, len(xs)):
-        d0 = series_a[i - 1] - series_b[i - 1]
-        d1 = series_a[i] - series_b[i]
-        if d0 == 0:
-            continue
-        if d0 * d1 < 0:
-            frac = d0 / (d0 - d1)
-            x = xs[i - 1] + frac * (xs[i] - xs[i - 1])
-            y = series_a[i - 1] + frac * (series_a[i] - series_a[i - 1])
-            out.append((x, y))
-    return out
-
-
-def summarize_table3(
-    results: Dict[str, Dict[int, float]], endpoints: Tuple[int, int] = (1, 12)
-) -> Dict[str, Tuple[float, float, float]]:
-    """Build Table 3 rows from {arch: {clients: aggregate MB/s}}.
-
-    Returns {arch: (bw@1, bw@N, improvement)}.
-    """
-    lo, hi = endpoints
-    out = {}
-    for arch, series in results.items():
-        if lo not in series or hi not in series:
-            raise ValueError(f"{arch}: missing endpoint measurements")
-        out[arch] = (
-            series[lo],
-            series[hi],
-            improvement_factor(series[lo], series[hi]),
-        )
-    return out

@@ -14,7 +14,6 @@ from repro.cluster.cdd import CooperativeDiskDriver
 from repro.cache import BlockCache  # moved to its own layer in PR 9
 from repro.cluster.sios import SingleIOSpace, Piece
 from repro.cluster.cluster import Cluster, build_cluster
-from repro.cluster.monitoring import ClusterMonitor, MonitorLog
 from repro.cluster.systems import (
     ARCHITECTURES,
     ChainedSystem,
@@ -32,8 +31,6 @@ __all__ = [
     "BlockCache",
     "ChainedSystem",
     "Cluster",
-    "ClusterMonitor",
-    "MonitorLog",
     "CooperativeDiskDriver",
     "DistributedArraySystem",
     "DistributedLockManager",

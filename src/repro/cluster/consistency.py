@@ -160,10 +160,10 @@ class DistributedLockManager:
                                 trace=trace,
                             )
         except BaseException:
-            # Atomic grant (§4): a failure or interrupt mid-protocol may
-            # not strand the groups already granted.  Undo the table
-            # records and release (or cancel) every request, newest
-            # first, then let the failure propagate to the caller.
+            # Atomic grant (§4): a failure mid-protocol may not strand
+            # the groups already granted.  Undo the table records and
+            # release (or cancel) every request, newest first, then let
+            # the failure propagate to the caller.
             for g, req in reversed(held):
                 if self.table.holder(g) == client:
                     self.table.record_release(g, client)

@@ -599,8 +599,8 @@ class ExecutionEngine:
         tracer = _obs.TRACER
         t0 = self.env.now
         # The queued request must be released (or cancelled) even if
-        # this process is interrupted while waiting for the grant, so
-        # the try covers the wait itself, not just the held region.
+        # this process fails while waiting for the grant, so the try
+        # covers the wait itself, not just the held region.
         lock = self._stripe_lock(sw.stripe).acquire(owner=client)
         try:
             yield lock

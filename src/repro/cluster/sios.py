@@ -8,7 +8,7 @@ sees all nk disks as local).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import AddressError
 from repro.io.request import split_into_blocks
@@ -59,19 +59,6 @@ class SingleIOSpace:
                 )
             )
         return out
-
-    def pieces_by_stripe(
-        self, pieces: List[Piece]
-    ) -> Dict[int, List[Piece]]:
-        """Group pieces by the stripe group of their block."""
-        out: Dict[int, List[Piece]] = {}
-        for p in pieces:
-            out.setdefault(self.layout.stripe_of(p.block), []).append(p)
-        return out
-
-    def blocks_touched(self, offset: int, nbytes: int) -> List[int]:
-        """Logical blocks a byte range covers."""
-        return [p.block for p in self.pieces(offset, nbytes)]
 
     def locality(self, pieces: List[Piece], node: int) -> Tuple[int, int]:
         """(local, remote) piece counts as seen from ``node``."""

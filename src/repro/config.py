@@ -50,8 +50,6 @@ class NetworkParams:
 
     link_rate: float = 12.5 * MB  # 100 Mbit/s per port
     switch_latency_s: float = 60 * US
-    #: Aggregate switch backplane cap (None = non-blocking switch).
-    backplane_rate: float | None = None
     #: Fixed per-message protocol CPU at each endpoint (interrupt, TCP).
     per_message_overhead_s: float = 120 * US
     #: Per-KB protocol CPU at each endpoint (checksums, copies).

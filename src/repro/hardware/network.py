@@ -4,7 +4,7 @@ Message path (store-and-forward at message granularity — callers keep
 messages at block size, so this is within one MTU of cut-through):
 
 1. occupy the sender's NIC TX for ``nbytes``,
-2. cross the switch (fixed latency, optional shared backplane),
+2. cross the switch (fixed latency),
 3. occupy the receiver's NIC RX for ``nbytes``.
 
 Endpoint protocol CPU is charged by the transport layer
@@ -22,7 +22,6 @@ from repro.hardware.nic import Nic
 from repro.obs import runtime as _obs
 from repro.obs.trace import NET_RX, NET_TX
 from repro.sim.core import Environment
-from repro.sim.shared import SharedChannel
 
 
 class Network:
@@ -41,11 +40,6 @@ class Network:
         self.nics: List[Nic] = [
             Nic(env, self.params, node_id=i) for i in range(n_nodes)
         ]
-        self._backplane: Optional[SharedChannel] = None
-        if self.params.backplane_rate is not None:
-            self._backplane = SharedChannel(
-                env, rate=self.params.backplane_rate, name="backplane"
-            )
         #: Total bytes that crossed the switch.
         self.bytes_switched = 0.0
         self.messages = 0
@@ -92,8 +86,6 @@ class Network:
                 frag = min(mtu, nbytes - pos)
                 yield self.nics[src].send_occupancy(frag)
                 tx_end = env.now
-                if self._backplane is not None:
-                    yield self._backplane.transfer(frag)
                 if first:
                     # Switch forwarding latency, paid once up front;
                     # later fragments ride the full pipeline.

@@ -253,13 +253,6 @@ class Node:
             yield self.scsi.transfer(nbytes)
         yield disk.submit(op, offset, nbytes, priority=priority, trace=trace)
 
-    def submit_local(self, disk_id: int, op: str, offset: int, nbytes: int,
-                     priority: int = 0, trace: Optional[int] = None) -> Event:
-        """Run :meth:`disk_io` as a process; returns its completion event."""
-        return self.env.process(
-            self.disk_io(disk_id, op, offset, nbytes, priority, trace)
-        )
-
     def ff_claim_cpu(self, seconds: float) -> float:
         """Eagerly claim ``seconds`` of CPU work; returns the finish time.
 

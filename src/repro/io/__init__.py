@@ -1,6 +1,6 @@
-"""I/O path helpers: request objects and per-disk queue disciplines."""
+"""I/O path helpers: block splitting and per-disk queue disciplines."""
 
-from repro.io.request import IORequest, split_into_blocks
+from repro.io.request import split_into_blocks
 from repro.io.scheduler import (
     DiskScheduler,
     FifoScheduler,
@@ -12,7 +12,6 @@ from repro.io.scheduler import (
 __all__ = [
     "DiskScheduler",
     "FifoScheduler",
-    "IORequest",
     "LookScheduler",
     "SstfScheduler",
     "make_scheduler",

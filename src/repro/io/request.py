@@ -1,33 +1,12 @@
-"""Logical I/O requests against the single I/O space.
+"""Splitting logical byte ranges of the single I/O space into blocks.
 
-A client issues an :class:`IORequest` over a *global* byte range of the
-virtual disk; the RAID layout maps it to per-disk block operations.
+A client addresses a *global* byte range of the virtual disk; the RAID
+layout maps each block of it to a per-disk operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
-
-
-@dataclass(frozen=True)
-class IORequest:
-    """A logical read or write over the global virtual-disk address space."""
-
-    op: str  # "read" | "write"
-    offset: int  # global byte offset
-    nbytes: int
-    client_node: int = 0
-
-    def __post_init__(self) -> None:
-        if self.op not in ("read", "write"):
-            raise ValueError(f"bad op {self.op!r}")
-        if self.offset < 0 or self.nbytes < 0:
-            raise ValueError("negative offset or size")
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.nbytes
 
 
 def split_into_blocks(
@@ -52,12 +31,3 @@ def split_into_blocks(
         out.append((block, intra, take))
         pos += take
     return out
-
-
-def block_span(offset: int, nbytes: int, block_size: int) -> range:
-    """The range of block indices a byte range touches."""
-    if nbytes <= 0:
-        return range(0)
-    first = offset // block_size
-    last = (offset + nbytes - 1) // block_size
-    return range(first, last + 1)

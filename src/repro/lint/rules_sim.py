@@ -184,7 +184,7 @@ class SimYieldRule(Rule):
             yield mod.finding(
                 value, self.code,
                 "yield of a container/string display: wrap multiple "
-                "events in env.all_of()/env.any_of()",
+                "events in env.all_of()",
             )
 
 

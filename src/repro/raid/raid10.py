@@ -56,12 +56,6 @@ class Raid10Layout(Layout):
         row = block // self.n_pairs
         return [Placement(2 * pair + 1, row * self.block_size)]
 
-    def _redundancy_locations_uncached(self, block: int) -> List[Placement]:
-        """Alias for the (already formula-direct) mirror placement."""
-        pair = block % self.n_pairs
-        row = block // self.n_pairs
-        return [Placement(2 * pair + 1, row * self.block_size)]
-
     def read_sources(self, block: int) -> List[Placement]:
         primary = self.data_location(block)
         mirror = self.redundancy_locations(block)[0]

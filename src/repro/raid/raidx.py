@@ -33,23 +33,10 @@ Consequences reproduced from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List
 
 from repro.errors import ConfigurationError
 from repro.raid.layout import Layout, Placement
-
-
-@dataclass(frozen=True)
-class MirrorGroup:
-    """One clustered image extent: ``n-1`` consecutive blocks of a disk
-    group, stored as a single long block on ``image_disk``."""
-
-    group_id: int  # global id: (disk_group, local_group) flattened
-    disk_group: int
-    image_disk: int
-    image_offset: int  # byte offset of the extent start
-    blocks: tuple  # logical data blocks, in image order
 
 
 class RaidxLayout(Layout):
@@ -130,17 +117,8 @@ class RaidxLayout(Layout):
         return Placement(disk, row * self.block_size)
 
     # -- mirror placement ----------------------------------------------------
-    def _group_local_index(self, block: int) -> tuple:
-        """(disk_group c, local index ℓ) of a data block within its group."""
-        D = self.n_disks
-        disk = block % D
-        c = disk // self.n
-        q = block // D
-        r = disk - c * self.n
-        return c, q * self.n + r
-
     def _local_block(self, c: int, ell: int) -> int:
-        """Inverse of :meth:`_group_local_index`."""
+        """The data block with local index ``ell`` in disk group ``c``."""
         q, r = divmod(ell, self.n)
         return q * self.n_disks + c * self.n + r
 
@@ -163,24 +141,6 @@ class RaidxLayout(Layout):
             c * n + (g + 1) * (n - 1) % n,
             (self._data_rows + g // n * (n - 1)) * self.block_size,
             pos,
-        )
-
-    def mirror_group_of(self, block: int) -> MirrorGroup:
-        """The mirror group (clustered image extent) containing ``block``.
-
-        Builds the member tuple; callers that need only the extent use
-        :meth:`mirror_slot`.
-        """
-        group_id, image_disk, image_offset, pos = self.mirror_slot(block)
-        c, ell = self._group_local_index(block)
-        first = ell - pos
-        last = min(first + self.n - 1, self._data_rows * self.n)
-        return MirrorGroup(
-            group_id=group_id,
-            disk_group=c,
-            image_disk=image_disk,
-            image_offset=image_offset,
-            blocks=tuple(self._local_block(c, i) for i in range(first, last)),
         )
 
     def redundancy_locations(self, block: int) -> List[Placement]:

@@ -20,46 +20,25 @@ Typical use::
     env.run()
 """
 
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventAborted,
-    Interrupt,
-    Timeout,
-)
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.core import Environment, Process, SimulationError
-from repro.sim.resources import (
-    Container,
-    PriorityResource,
-    Resource,
-    Store,
-)
-from repro.sim.shared import BandwidthLink, SharedChannel
+from repro.sim.resources import Resource, Store
+from repro.sim.shared import BandwidthLink
 from repro.sim.sync import Barrier, CountdownLatch, Mutex
-from repro.sim.monitor import Monitor, TimeWeightedStat
 from repro.sim.rand import RandomStreams
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BandwidthLink",
     "Barrier",
-    "Container",
     "CountdownLatch",
     "Environment",
     "Event",
-    "EventAborted",
-    "Interrupt",
-    "Monitor",
     "Mutex",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",
-    "SharedChannel",
     "SimulationError",
     "Store",
-    "TimeWeightedStat",
     "Timeout",
 ]

@@ -44,9 +44,9 @@ through ``run``'s event loop, so this module is written for throughput
   ``_Sleep`` fast path, with no generator frame at all (see the
   analytic fast-forward in :mod:`repro.hardware.disk`).
 
-Behaviour (event ordering, error propagation, interrupt semantics) is
-identical to the straightforward implementation; the property tests in
-``tests/sim`` pin it.
+Behaviour (event ordering, error propagation) is identical to the
+straightforward implementation; the property tests in ``tests/sim``
+pin it.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ from repro.sim.events import (
     _PENDING,
     _URGENT,
     AllOf,
-    AnyOf,
     Event,
     Initialize,
-    Interruption,
     Timeout,
 )
 
@@ -88,17 +86,15 @@ class _Sleep(Event):
     The run loop recognises this type and resumes ``process`` directly —
     no callback dispatch, no ``_resume`` frame.  The ``callbacks`` list
     still holds the process's wakeup so :meth:`Environment.step` (the
-    generic path) processes it identically.  An interrupt abandons an
-    in-flight sleep by clearing ``process``; the orphaned heap entry is
-    then skipped when popped.
+    generic path) processes it identically.
 
     ``link`` is the ``BandwidthLink`` a hold tagged this sleep with (or
     ``None``); both dispatch paths release its ``outstanding`` when the
-    entry pops, before resuming, orphaned or not (DESIGN §6.19).
+    entry pops, before resuming (DESIGN §6.19).
     """
 
     __slots__ = ("process", "generator", "link")
-    process: Optional["Process"]
+    process: "Process"
     generator: Generator
     link: Any  # Optional[BandwidthLink] (repro.sim.shared imports core)
 
@@ -234,10 +230,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event triggering when all ``events`` have triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event triggering when any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def schedule(
@@ -375,18 +367,13 @@ class Environment:
                     if event.__class__ is sleep_cls:
                         # NOTE: the sleep's callbacks list is left in
                         # place across inline resumes — only the
-                        # interrupt path reads it, and it must stay
-                        # intact there.  A _Sleep therefore never
-                        # reports ``processed``.
+                        # generic step() path reads it.  A _Sleep
+                        # therefore never reports ``processed``.
                         link = event.link
                         if link is not None:  # a link hold ends
                             link.outstanding -= 1
                             event.link = None
                         process = event.process
-                        if process is None:
-                            # Abandoned by an interrupt mid-flight.
-                            self._active_process = None
-                            break
                         self._active_process = process
                         try:
                             nxt = event.generator.send(None)
@@ -531,10 +518,6 @@ class Process(Event):
         """The event this process is currently waiting on."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its yield point."""
-        Interruption(self, cause)
-
     def _resume(self, event: Event) -> None:
         env = self.env
         env._active_process = self
@@ -566,10 +549,10 @@ class Process(Event):
                     if next_event >= 0:
                         sleep = self._sleep
                         if sleep is not None:
-                            # Free for reuse: an interrupted-out-of
-                            # (still in-flight) sleep is abandoned by
-                            # Interruption._deliver, so reaching here
-                            # means the event was fully processed.
+                            # Free for reuse: only the event a process
+                            # waits on resumes it, so its sleep is off
+                            # the heap; restore the callbacks list
+                            # step() may have cleared.
                             sleep.callbacks = self._sleep_cbs
                         else:
                             sleep = self._hold_sleep()

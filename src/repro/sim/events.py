@@ -9,26 +9,10 @@ waiting process at its ``yield`` point.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.core import Environment, Process
-
-
-class EventAborted(Exception):
-    """Raised in a waiter when the event it waited on was aborted."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.core.Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 #: Sentinel distinguishing "not yet triggered" from a ``None`` value.
@@ -113,13 +97,6 @@ class Event:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
 
-    # -- composition ---------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
             "processed"
@@ -185,21 +162,19 @@ class ConditionValue:
         return f"<ConditionValue {self.todict()!r}>"
 
 
-class Condition(Event):
-    """Waits on a set of events until ``evaluate(events, n_done)`` is true."""
+class AllOf(Event):
+    """Triggers when every constituent event has triggered.
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    Succeeds with a :class:`ConditionValue` of the events' values (at
+    once for an empty list); fails with the first member failure.
+    """
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list, int], bool],
-        events: Iterable[Event],
-    ):
+    __slots__ = ("_events", "_count")
+
+    def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = list(events)
         self._count = 0
-        self._evaluate = evaluate
 
         for event in self._events:
             if event.env is not env:
@@ -235,30 +210,8 @@ class Condition(Event):
         if not event._ok:
             event.defused()
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
+        elif self._count == len(self._events):
             self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: list, count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_event(events: list, count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Triggers when every constituent event has triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Triggers when at least one constituent event has triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.any_event, events)
 
 
 class Initialize(Event):
@@ -286,46 +239,7 @@ class Initialize(Event):
             )
 
 
-class Interruption(Event):
-    """Internal: delivers an :class:`Interrupt` into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any):
-        super().__init__(process.env)
-        if process.triggered:
-            raise RuntimeError("cannot interrupt a terminated process")
-        if process is self.env.active_process:
-            raise RuntimeError("a process cannot interrupt itself")
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.callbacks.append(self._deliver)
-        self.env.schedule(self, priority=_URGENT)
-
-    def _deliver(self, event: Event) -> None:
-        process = self.process
-        if process.triggered:
-            return  # process finished before the interrupt arrived
-        # Detach the process from whatever it is currently waiting on.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            if target is process._sleep:
-                # The reusable sleep event stays on the heap; abandon
-                # it so the process builds a fresh one next sleep, and
-                # detach the process so the run loop's inline resume
-                # skips the orphaned entry when it pops.
-                target.process = None
-                process._sleep = None
-        process._resume(self)
-
-
-#: Scheduling priorities: urgent events (process init/interrupt) run
+#: Scheduling priorities: urgent events (process init) run
 #: before normal events scheduled at the same simulated time.  In heap
 #: entries ``(time, key, event)`` the priority is fused into the
 #: sequence key: normal events use the bare sequence number, urgent

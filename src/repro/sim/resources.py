@@ -1,4 +1,4 @@
-"""Queued resources: counting resources, priority resources, stores.
+"""Queued resources: counting resources and stores.
 
 Requests are events; a process acquires with ``yield resource.request()``
 and must release with ``resource.release(req)`` (or use the request as a
@@ -7,8 +7,6 @@ context manager inside the process generator).
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
 from typing import Any, Callable, List, Optional
 
 from repro.sim.core import Environment
@@ -23,13 +21,16 @@ class Request(Event):
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        resource._enqueue(self)
+        resource.queue.append(self)
         resource._trigger_pending()
 
     def cancel(self) -> None:
         """Withdraw an un-granted request from the wait queue."""
         if not self.triggered:
-            self.resource._remove(self)
+            try:
+                self.resource.queue.remove(self)
+            except ValueError:
+                pass
 
     # Context-manager sugar: ``with res.request() as req: yield req``.
     def __enter__(self) -> "Request":
@@ -74,8 +75,8 @@ class Resource:
 
         Releasing a request that was never granted *cancels* it instead
         (so ``with resource.request() as req`` stays correct when the
-        waiting process is interrupted mid-queue); releasing a request
-        that was already released is an error.
+        waiting process fails or is closed mid-queue); releasing a
+        request that was already released is an error.
         """
         try:
             self.users.remove(request)
@@ -92,144 +93,12 @@ class Resource:
         ev.succeed()
         return ev
 
-    # -- queue mechanics (overridden by PriorityResource) -----------------
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-
-    def _remove(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
-
-    def _pop_next(self) -> Optional[Request]:
-        return self.queue.pop(0) if self.queue else None
-
     def _trigger_pending(self) -> None:
-        while len(self.users) < self.capacity:
-            nxt = self._pop_next()
-            if nxt is None:
-                return
+        queue = self.queue
+        while queue and len(self.users) < self.capacity:
+            nxt = queue.pop(0)
             self.users.append(nxt)
             nxt.succeed()
-
-
-class PriorityRequest(Request):
-    """A resource request carrying a priority (lower = more urgent)."""
-
-    __slots__ = ("priority", "_key")
-
-    def __init__(self, resource: "PriorityResource", priority: float = 0):
-        self.priority = priority
-        self._key = (priority, next(resource._tiebreak))
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are served lowest-priority-value first."""
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._tiebreak = count()
-        self._heap: list = []
-
-    def request(self, priority: float = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _enqueue(self, request: Request) -> None:
-        heapq.heappush(self._heap, (request._key, request))  # type: ignore[attr-defined]
-
-    def _remove(self, request: Request) -> None:
-        for i, (_, req) in enumerate(self._heap):
-            if req is request:
-                self._heap[i] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
-                return
-
-    def _pop_next(self) -> Optional[Request]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[1]
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._getters.append(self)
-        container._dispatch()
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._putters.append(self)
-        container._dispatch()
-
-
-class Container:
-    """A homogeneous bulk quantity with blocking put/get.
-
-    Models things like buffer pool pages or battery-style budgets.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: List[ContainerGet] = []
-        self._putters: List[ContainerPut] = []
-
-    @property
-    def level(self) -> float:
-        """Quantity currently stored."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Add ``amount``; blocks while it would exceed capacity."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Remove ``amount``; blocks until available."""
-        return ContainerGet(self, amount)
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                put = self._putters[0]
-                if self._level + put.amount <= self.capacity:
-                    self._putters.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._getters:
-                get = self._getters[0]
-                if self._level >= get.amount:
-                    self._getters.pop(0)
-                    self._level -= get.amount
-                    get.succeed(get.amount)
-                    progressed = True
 
 
 class StoreGet(Event):

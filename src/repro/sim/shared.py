@@ -1,21 +1,15 @@
-"""Bandwidth-shared channels.
+"""Bandwidth links.
 
-Two link models are provided:
-
-* :class:`BandwidthLink` — FIFO serialization: one transfer at a time at
-  full rate.  Matches a NIC transmit path, a SCSI bus, or a CPU work
-  queue at message granularity.
-* :class:`SharedChannel` — processor-sharing: concurrent transfers split
-  the rate equally, with exact completion-time recomputation on every
-  arrival/departure.  Matches a switch backplane or a disk serving
-  interleaved streams.
+:class:`BandwidthLink` — FIFO serialization: one transfer at a time at
+full rate.  Matches a NIC transmit path, a SCSI bus, or a CPU work
+queue at message granularity.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Optional
 
-from repro.sim.core import Environment, Process
+from repro.sim.core import Environment
 from repro.sim.events import Event
 
 
@@ -109,85 +103,3 @@ class BandwidthLink:
         if total <= 0:
             return 0.0
         return min(1.0, self.busy_time / total)
-
-
-class _Flow:
-    __slots__ = ("remaining", "event")
-
-    def __init__(self, nbytes: float, event: Event):
-        self.remaining = float(nbytes)
-        self.event = event
-
-
-class SharedChannel:
-    """Processor-sharing channel: N concurrent flows each get rate/N.
-
-    Completion times are recomputed exactly whenever the flow set
-    changes, using a background coordinator process.
-    """
-
-    def __init__(self, env: Environment, rate: float, name: str = ""):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.env = env
-        self.rate = float(rate)
-        self.name = name
-        self._flows: List[_Flow] = []
-        self._last_update = env.now
-        self._wakeup: Optional[Process] = None
-        self.bytes_carried = 0.0
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
-
-    def transfer(self, nbytes: float) -> Event:
-        """Start a flow of ``nbytes``; returns its completion event."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        self._drain()
-        done = self.env.event()
-        if nbytes == 0:
-            done.succeed()
-            return done
-        self._flows.append(_Flow(nbytes, done))
-        self.bytes_carried += nbytes
-        self._reschedule()
-        return done
-
-    # -- internals -------------------------------------------------------
-    def _drain(self) -> None:
-        """Advance all flows to the current time and complete finished ones."""
-        now = self.env.now
-        dt = now - self._last_update
-        self._last_update = now
-        if dt <= 0 or not self._flows:
-            return
-        per_flow = self.rate * dt / len(self._flows)
-        finished = []
-        for flow in self._flows:
-            flow.remaining -= per_flow
-            if flow.remaining <= 1e-9:
-                finished.append(flow)
-        for flow in finished:
-            self._flows.remove(flow)
-            flow.event.succeed()
-
-    def _reschedule(self) -> None:
-        if self._wakeup is not None and self._wakeup.is_alive:
-            self._wakeup.interrupt()
-        if self._flows:
-            self._wakeup = self.env.process(self._coordinator())
-
-    def _coordinator(self) -> Generator:
-        from repro.sim.events import Interrupt
-
-        while self._flows:
-            shortest = min(f.remaining for f in self._flows)
-            dt = shortest * len(self._flows) / self.rate
-            try:
-                yield dt
-            except Interrupt:
-                # Flow set changed; a fresh coordinator has taken over.
-                return
-            self._drain()

@@ -30,14 +30,6 @@ def mb_per_s(bytes_per_second: float) -> float:
     return bytes_per_second / MB
 
 
-def fmt_bytes(n: float) -> str:
-    """Human-readable byte count (decimal units)."""
-    for unit, factor in (("GB", GB), ("MB", MB), ("KB", KB)):
-        if abs(n) >= factor:
-            return f"{n / factor:.2f} {unit}"
-    return f"{n:.0f} B"
-
-
 def fmt_time(seconds: float) -> str:
     """Human-readable duration."""
     if seconds >= 1.0:

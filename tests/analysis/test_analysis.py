@@ -16,13 +16,7 @@ from repro.analysis.report import (
     render_sparkline,
     render_table,
 )
-from repro.analysis.scalability import (
-    crossover_points,
-    improvement_factor,
-    scaling_efficiency,
-    speedup_series,
-    summarize_table3,
-)
+from repro.analysis.scalability import improvement_factor, scaling_efficiency
 
 
 def model(n=12):
@@ -109,32 +103,6 @@ def test_scaling_efficiency_validation():
         scaling_efficiency([1], [1.0, 2.0])
     with pytest.raises(ValueError):
         scaling_efficiency([], [])
-
-
-def test_speedup_series():
-    assert speedup_series([1, 2], [3.0, 9.0]) == pytest.approx([1, 3])
-
-
-def test_crossover_detection():
-    xs = [1, 2, 3, 4]
-    a = [1.0, 2.0, 3.0, 4.0]
-    b = [4.0, 3.0, 2.0, 1.0]
-    pts = crossover_points(xs, a, b)
-    assert len(pts) == 1
-    assert pts[0][0] == pytest.approx(2.5)
-
-
-def test_crossover_none_when_parallel():
-    assert crossover_points([1, 2], [1, 2], [2, 3]) == []
-
-
-def test_summarize_table3():
-    res = summarize_table3(
-        {"raidx": {1: 3.0, 12: 30.0}}, endpoints=(1, 12)
-    )
-    assert res["raidx"] == (3.0, 30.0, pytest.approx(10.0))
-    with pytest.raises(ValueError):
-        summarize_table3({"x": {1: 3.0}}, endpoints=(1, 12))
 
 
 def test_render_table_alignment():

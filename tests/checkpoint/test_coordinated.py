@@ -121,7 +121,7 @@ def test_local_image_placement_used_on_raidx():
     for p in range(4):
         node = run.node_of_process(p)
         for b in run.region_blocks(p):
-            assert lay.mirror_group_of(b).image_disk % 4 == node
+            assert lay.mirror_slot(b)[1] % 4 == node
 
 
 def test_generic_placement_on_other_architectures():

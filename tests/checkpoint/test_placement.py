@@ -54,9 +54,9 @@ def test_local_image_region_invariant():
         blocks = local_image_region(lay, node, 9, disk_group=1)
         assert len(blocks) == 9
         for b in blocks:
-            mg = lay.mirror_group_of(b)
-            assert mg.image_disk % 4 == node
-            assert lay.disk_group(mg.image_disk) == 1
+            image_disk = lay.mirror_slot(b)[1]
+            assert image_disk % 4 == node
+            assert lay.disk_group(image_disk) == 1
 
 
 def test_local_image_region_data_still_striped():

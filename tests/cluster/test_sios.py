@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.sios import SingleIOSpace
 from repro.errors import AddressError
-from repro.io.request import IORequest, block_span, split_into_blocks
+from repro.io.request import split_into_blocks
 from repro.raid import make_layout
 from repro.units import KiB
 
@@ -71,19 +71,6 @@ def test_locality_counts():
     assert local == 1 and remote == 3
 
 
-def test_pieces_by_stripe_grouping():
-    s = sios()
-    pieces = s.pieces(0, 8 * 32 * KiB)
-    groups = s.pieces_by_stripe(pieces)
-    assert set(groups) == {0, 1}
-    assert all(len(g) == 4 for g in groups.values())
-
-
-def test_blocks_touched():
-    s = sios()
-    assert s.blocks_touched(0, 32 * KiB + 1) == [0, 1]
-
-
 def test_split_into_blocks_edges():
     assert split_into_blocks(0, 0, 10) == []
     assert split_into_blocks(5, 10, 10) == [(0, 5, 5), (1, 0, 5)]
@@ -91,18 +78,3 @@ def test_split_into_blocks_edges():
         split_into_blocks(0, 10, 0)
     with pytest.raises(ValueError):
         split_into_blocks(0, -1, 10)
-
-
-def test_block_span():
-    assert list(block_span(0, 1, 10)) == [0]
-    assert list(block_span(5, 10, 10)) == [0, 1]
-    assert list(block_span(0, 0, 10)) == []
-
-
-def test_iorequest_validation():
-    with pytest.raises(ValueError):
-        IORequest(op="append", offset=0, nbytes=1)
-    with pytest.raises(ValueError):
-        IORequest(op="read", offset=-1, nbytes=1)
-    r = IORequest(op="read", offset=10, nbytes=5)
-    assert r.end == 15

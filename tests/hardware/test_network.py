@@ -110,26 +110,6 @@ def test_incast_disabled(env):
         assert net._incast_stretch(src, 0) == 0.0
 
 
-def test_backplane_cap(env):
-    params = NetworkParams(
-        backplane_rate=NetworkParams().link_rate,  # as slow as one port
-        incast_flow_threshold=None,
-    )
-    net = Network(env, 4, params)
-    done = {}
-
-    def p(env, src, dst):
-        yield net.transfer(src, dst, 125_000)
-        done[(src, dst)] = env.now
-
-    env.process(p(env, 0, 2))
-    env.process(p(env, 1, 3))
-    env.run()
-    # The shared backplane roughly doubles the pair's completion time
-    # versus independent ports.
-    assert max(done.values()) > 0.015
-
-
 def test_aggregate_utilization_bounds(env):
     net = Network(env, 2, NetworkParams(incast_flow_threshold=None))
 

@@ -95,7 +95,7 @@ def test_node_disk_io_charges_bus_and_disk(env):
     done = []
 
     def p(env):
-        yield node.submit_local(0, "read", 0, 32 * KiB)
+        yield env.process(node.disk_io(0, "read", 0, 32 * KiB))
         done.append(env.now)
 
     env.process(p(env))

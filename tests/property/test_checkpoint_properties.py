@@ -36,9 +36,9 @@ def test_local_image_region_invariant_all_nodes(lay, data):
     blocks = local_image_region(lay, node, want, disk_group=group)
     assert len(blocks) == want
     for b in blocks:
-        mg = lay.mirror_group_of(b)
-        assert mg.image_disk % lay.n == node
-        assert lay.disk_group(mg.image_disk) == group
+        image_disk = lay.mirror_slot(b)[1]
+        assert image_disk % lay.n == node
+        assert lay.disk_group(image_disk) == group
 
 
 @given(lay=geometry())

@@ -52,12 +52,12 @@ def test_raidx_orthogonality(lay):
 def test_raidx_mirror_groups_partition_blocks(lay):
     seen = {}
     for b in range(min(lay.data_blocks, 300)):
-        mg = lay.mirror_group_of(b)
-        assert b in mg.blocks
-        prior = seen.get(mg.group_id)
-        if prior is not None:
-            assert prior == mg.blocks
-        seen[mg.group_id] = mg.blocks
+        group_id, disk, offset, pos = lay.mirror_slot(b)
+        assert 0 <= pos < lay.n - 1
+        extent, taken = seen.setdefault(group_id, ((disk, offset), set()))
+        assert extent == (disk, offset)
+        assert pos not in taken
+        taken.add(pos)
 
 
 @given(lay=raidx_geometry())

@@ -84,14 +84,10 @@ def test_raidx_mirror_group_cached_matches_formula(n, k):
     ref = _reference_osm(layout)
     for b in range(layout.data_blocks):
         group_id, c, disk, offset, members = ref[b]
-        mg = layout.mirror_group_of(b)
-        assert (
-            mg.group_id, mg.disk_group, mg.image_disk, mg.image_offset,
-            mg.blocks,
-        ) == (group_id, c, disk, offset, members)
         assert layout.mirror_slot(b) == (
             group_id, disk, offset, members.index(b)
         )
+        assert disk // n == c
 
 
 @pytest.mark.parametrize("n,k", RAIDX_CONFIGS)
@@ -122,11 +118,9 @@ def test_raidx_tiny_array_smaller_than_one_rotation():
     ref = _reference_osm(layout)
     for b in range(layout.data_blocks):
         group_id, c, disk, offset, members = ref[b]
-        mg = layout.mirror_group_of(b)
-        assert (mg.group_id, mg.image_disk, mg.image_offset, mg.blocks) == (
-            group_id, disk, offset, members
-        )
         pos = members.index(b)
+        assert layout.mirror_slot(b) == (group_id, disk, offset, pos)
+        assert disk // layout.n == c
         assert layout.redundancy_locations(b) == [
             Placement(disk, offset + pos * layout.block_size)
         ]
@@ -147,7 +141,7 @@ def test_raidx_256_node_lookups_allocate_no_tables():
         top = layout.data_blocks - 1
         for i in range(10_000):
             b = i * top // 9_999
-            assert len(layout.mirror_group_of(b).blocks) <= layout.n - 1
+            assert layout.mirror_slot(b)[3] < layout.n - 1
             image = layout.redundancy_locations(b)[0]
             piece = Piece(b, 0, bs, layout.data_location(b))
             candidates, _ = planner.read_candidates(piece, frozenset(), ctx)
@@ -174,12 +168,12 @@ def test_raid10_cached_matches_formula(disks):
     layout = Raid10Layout(
         n_disks=disks, block_size=4 * KiB, disk_capacity=33 * 4 * KiB
     )
+    pairs, bs = disks // 2, layout.block_size
     for b in range(layout.data_blocks):
         assert layout.data_location(b) == layout._data_location_uncached(b)
-        assert (
-            layout.redundancy_locations(b)
-            == layout._redundancy_locations_uncached(b)
-        )
+        assert layout.redundancy_locations(b) == [
+            Placement(2 * (b % pairs) + 1, (b // pairs) * bs)
+        ]
 
 
 def test_table_is_built_lazily_and_reused():

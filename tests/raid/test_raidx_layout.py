@@ -35,20 +35,16 @@ def test_fig1a_mirror_groups_match_paper():
     lay = fig1a()
     expect = {0: 3, 1: 2, 2: 1, 3: 0}
     for g, disk in expect.items():
-        mg = lay.mirror_group_of(g * 3)
-        assert mg.image_disk == disk
-        assert mg.blocks == tuple(range(g * 3, g * 3 + 3))
+        slots = [lay.mirror_slot(b) for b in range(g * 3, g * 3 + 3)]
+        assert len({s[0] for s in slots}) == 1
+        assert [(s[1], s[3]) for s in slots] == [(disk, 0), (disk, 1), (disk, 2)]
 
 
 def test_images_clustered_contiguously():
     lay = fig1a()
-    mg = lay.mirror_group_of(0)
-    offsets = [
-        lay.redundancy_locations(b)[0].offset for b in mg.blocks
-    ]
-    assert offsets == list(
-        range(mg.image_offset, mg.image_offset + len(mg.blocks))
-    )
+    extent = lay.mirror_slot(0)[2]
+    offsets = [lay.redundancy_locations(b)[0].offset for b in range(3)]
+    assert offsets == list(range(extent, extent + 3))
     # All in the mirror half of the disk.
     assert all(o >= lay.mirror_base for o in offsets)
 
@@ -88,9 +84,10 @@ def test_image_disks_balanced_within_group():
 
 def test_local_index_roundtrip():
     lay = fig3()
+    n, D = lay.n, lay.n_disks
     for b in range(lay.data_blocks):
-        c, ell = lay._group_local_index(b)
-        assert lay._local_block(c, ell) == b
+        c, r = divmod(b % D, n)
+        assert lay._local_block(c, b // D * n + r) == b
 
 
 def test_fig3_addressing_matches_paper():
@@ -130,6 +127,9 @@ def test_partial_final_mirror_group():
     )
     # 8 data blocks per group slice; trailing group may be short.
     last_block = lay.data_blocks - 1
-    mg = lay.mirror_group_of(last_block)
-    assert last_block in mg.blocks
-    assert 1 <= len(mg.blocks) <= lay.n - 1
+    group_id = lay.mirror_slot(last_block)[0]
+    members = [
+        b for b in range(lay.data_blocks) if lay.mirror_slot(b)[0] == group_id
+    ]
+    assert last_block in members
+    assert 1 <= len(members) <= lay.n - 1

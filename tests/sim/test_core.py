@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 from repro.sim.core import SimulationError
 
 
@@ -153,35 +153,6 @@ def test_numeric_yield_interleaves_with_timeouts(env):
     ]
 
 
-def test_interrupt_during_numeric_sleep(env):
-    """Interrupting a numeric sleep must not corrupt the reusable
-    sleep event (regression guard for the pooled fast path)."""
-    log = []
-
-    def sleeper(env):
-        try:
-            yield 10.0
-        except Interrupt as i:
-            log.append(("interrupted", env.now, i.cause))
-        yield 1.0
-        log.append(("slept", env.now))
-        yield 1.0
-        log.append(("slept", env.now))
-
-    def poker(env, victim):
-        yield 2.0
-        victim.interrupt("poke")
-
-    victim = env.process(sleeper(env))
-    env.process(poker(env, victim))
-    env.run()
-    assert log == [
-        ("interrupted", 2.0, "poke"),
-        ("slept", 3.0),
-        ("slept", 4.0),
-    ]
-
-
 def test_exception_propagates_to_waiter(env):
     def bad(env):
         yield env.timeout(1)
@@ -206,46 +177,6 @@ def test_unhandled_process_exception_crashes_run(env):
         raise KeyError("lost")
 
     env.process(bad(env))
-    with pytest.raises(SimulationError):
-        env.run()
-
-
-def test_interrupt_delivers_cause(env):
-    causes = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            causes.append((env.now, i.cause))
-
-    def attacker(env, v):
-        yield env.timeout(2)
-        v.interrupt("stop it")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert causes == [(2, "stop it")]
-
-
-def test_interrupt_terminated_process_rejected(env):
-    def quick(env):
-        yield env.timeout(1)
-
-    v = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        v.interrupt()
-
-
-def test_process_cannot_interrupt_itself(env):
-    def selfish(env):
-        me = env.active_process
-        me.interrupt()
-        yield env.timeout(1)
-
-    env.process(selfish(env))
     with pytest.raises(SimulationError):
         env.run()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Timeout
+from repro.sim import AllOf, Environment, Event
 from repro.sim.events import ConditionValue
 
 
@@ -95,18 +95,6 @@ def test_all_of_waits_for_every_event(env):
     assert order == [3]
 
 
-def test_any_of_fires_on_first(env):
-    order = []
-
-    def p(env):
-        yield env.any_of([env.timeout(5), env.timeout(1)])
-        order.append(env.now)
-
-    env.process(p(env))
-    env.run()
-    assert order == [1]
-
-
 def test_all_of_empty_triggers_immediately(env):
     done = []
 
@@ -125,7 +113,7 @@ def test_condition_value_collects_events(env):
     def p(env):
         t1 = env.timeout(1, value="a")
         t2 = env.timeout(2, value="b")
-        v = yield t1 & t2
+        v = yield env.all_of([t1, t2])
         results["v"] = v
         results["t1"] = v[t1]
 
@@ -133,18 +121,6 @@ def test_condition_value_collects_events(env):
     env.run()
     assert results["t1"] == "a"
     assert len(results["v"]) == 2
-
-
-def test_or_operator(env):
-    hit = []
-
-    def p(env):
-        v = yield env.timeout(1, "fast") | env.timeout(9, "slow")
-        hit.append(len(v))
-
-    env.process(p(env))
-    env.run()
-    assert hit == [1]
 
 
 def test_condition_propagates_failure(env):

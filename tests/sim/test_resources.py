@@ -1,8 +1,8 @@
-"""Resource, PriorityResource, Container, and Store behaviour."""
+"""Resource and Store behaviour."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_capacity_enforced(env):
@@ -54,46 +54,46 @@ def test_release_without_hold_rejected(env):
         res.release(req)
 
 
-def test_interrupted_waiter_releases_cleanly(env):
+def test_failed_waiter_releases_cleanly(env):
     """``with res.request()`` must not corrupt the resource when the
-    waiting process is interrupted before its grant."""
-    from repro.sim import Interrupt
-
+    waiting process fails before its grant: ``release`` of the
+    un-granted request cancels it (``Request.cancel``)."""
     res = Resource(env, capacity=1)
     order = []
+    waiting = []
 
     def holder(env):
         with res.request() as req:
             yield req
             yield env.timeout(5)
 
-    def impatient(env):
-        try:
-            with res.request() as req:
-                yield req
-                order.append("granted")
-        except Interrupt:
-            order.append("interrupted")
+    def give_up(env):
+        yield env.timeout(1)
+        raise RuntimeError("gave up")
 
     def third(env):
         with res.request() as req:
             yield req
             order.append(("third", env.now))
 
+    def impatient(env):
+        try:
+            with res.request() as req:
+                waiting.append(req)
+                yield env.all_of([req, env.process(give_up(env))])
+                order.append("granted")
+        except RuntimeError:
+            order.append(("failed", env.now))
+            env.process(third(env))
+
     env.process(holder(env))
-    victim = env.process(impatient(env))
-
-    def attacker(env):
-        yield env.timeout(1)
-        victim.interrupt()
-        env.process(third(env))
-
-    env.process(attacker(env))
+    env.process(impatient(env))
     env.run()
-    # The interrupted waiter left the queue; the third process got the
-    # slot as soon as the holder released it.
-    assert order == ["interrupted", ("third", 5)]
-    assert res.count == 0
+    # The failed waiter left the queue; the third process got the slot
+    # as soon as the holder released it.
+    assert order == [("failed", 1), ("third", 5)]
+    assert not waiting[0].triggered
+    assert res.count == 0 and not res.queue
 
 
 def test_release_of_already_released_request_still_errors(env):
@@ -113,91 +113,6 @@ def test_request_cancel_leaves_queue(env):
     res.release(first)
     assert not second.triggered
     assert res.count == 0
-
-
-def test_priority_resource_serves_urgent_first(env):
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def worker(env, name, prio, delay):
-        yield env.timeout(delay)
-        req = res.request(priority=prio)
-        yield req
-        order.append(name)
-        yield env.timeout(10)
-        res.release(req)
-
-    env.process(worker(env, "holder", 0, 0))
-    env.process(worker(env, "low", 5, 1))
-    env.process(worker(env, "high", 1, 2))
-    env.run()
-    assert order == ["holder", "high", "low"]
-
-
-def test_priority_ties_are_fifo(env):
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def worker(env, name):
-        req = res.request(priority=3)
-        yield req
-        order.append(name)
-        yield env.timeout(1)
-        res.release(req)
-
-    for n in ("a", "b", "c"):
-        env.process(worker(env, n))
-    env.run()
-    assert order == ["a", "b", "c"]
-
-
-def test_container_blocks_until_available(env):
-    c = Container(env, capacity=10, init=0)
-    times = []
-
-    def consumer(env):
-        yield c.get(5)
-        times.append(env.now)
-
-    def producer(env):
-        yield env.timeout(2)
-        yield c.put(5)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert times == [2]
-    assert c.level == 0
-
-
-def test_container_put_blocks_at_capacity(env):
-    c = Container(env, capacity=10, init=10)
-    done = []
-
-    def producer(env):
-        yield c.put(3)
-        done.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(4)
-        yield c.get(3)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert done == [4]
-
-
-def test_container_validation(env):
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    c = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        c.put(0)
-    with pytest.raises(ValueError):
-        c.get(-1)
 
 
 def test_store_fifo(env):

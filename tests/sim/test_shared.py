@@ -1,11 +1,11 @@
-"""BandwidthLink and SharedChannel timing semantics."""
+"""BandwidthLink timing semantics."""
 
 import heapq
 import random
 
 import pytest
 
-from repro.sim import BandwidthLink, Environment, SharedChannel, core
+from repro.sim import BandwidthLink, Environment, core
 from repro.sim.core import EmptySchedule
 
 
@@ -215,65 +215,3 @@ def test_hold_validation(env):
     env.process(p(env))
     env.run()
     assert env.now == 1.0 and link.outstanding == 0
-
-
-def test_shared_channel_even_split(env):
-    ch = SharedChannel(env, rate=100.0)
-    done = {}
-
-    def t(env, i, size, start):
-        yield env.timeout(start)
-        yield ch.transfer(size)
-        done[i] = env.now
-
-    env.process(t(env, 0, 100, 0))
-    env.process(t(env, 1, 100, 0))
-    env.run()
-    assert done[0] == pytest.approx(2.0)
-    assert done[1] == pytest.approx(2.0)
-
-
-def test_shared_channel_late_joiner(env):
-    ch = SharedChannel(env, rate=100.0)
-    done = {}
-
-    def t(env, i, size, start):
-        yield env.timeout(start)
-        yield ch.transfer(size)
-        done[i] = env.now
-
-    env.process(t(env, 0, 100, 0))
-    env.process(t(env, 1, 50, 0.5))
-    env.run()
-    # flow0: 50B alone (0.5s), then shares; both finish together at 1.5.
-    assert done[0] == pytest.approx(1.5)
-    assert done[1] == pytest.approx(1.5)
-
-
-def test_shared_channel_zero_bytes_immediate(env):
-    ch = SharedChannel(env, rate=10.0)
-    done = []
-
-    def t(env):
-        yield ch.transfer(0)
-        done.append(env.now)
-
-    env.process(t(env))
-    env.run()
-    assert done == [0]
-
-
-def test_shared_channel_sequential_flows(env):
-    ch = SharedChannel(env, rate=100.0)
-    done = []
-
-    def t(env):
-        yield ch.transfer(100)
-        done.append(env.now)
-        yield ch.transfer(100)
-        done.append(env.now)
-
-    env.process(t(env))
-    env.run()
-    assert done == [pytest.approx(1.0), pytest.approx(2.0)]
-    assert ch.active_flows == 0

@@ -28,7 +28,6 @@ from repro.units import (
     KB,
     KiB,
     MB,
-    fmt_bytes,
     fmt_time,
     mb_per_s,
 )
@@ -108,8 +107,6 @@ def test_units_constants():
 
 
 def test_fmt_helpers():
-    assert fmt_bytes(1_500_000) == "1.50 MB"
-    assert fmt_bytes(999) == "999 B"
     assert "ms" in fmt_time(0.005)
     assert "us" in fmt_time(5e-6)
     assert "s" in fmt_time(2.0)
