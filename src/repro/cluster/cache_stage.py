@@ -41,7 +41,6 @@ from repro.cache.block import BlockState
 from repro.cache.destage import DestageRun, coalesce_runs
 from repro.cluster.message import ACK_BYTES, MessageKind
 from repro.errors import DataLossError, DiskFailedError
-from repro.io.request import split_into_blocks
 from repro.obs import runtime as _obs
 from repro.obs.trace import (
     CACHE_DESTAGE,
@@ -50,20 +49,8 @@ from repro.obs.trace import (
     REQUEST,
     SCSI_TRANSFER,
 )
-from repro.raid.plan import WriteContext
+from repro.raid.plan import WriteContext, split_into_blocks
 from repro.sim.events import _KEY_OFFSET, Event
-
-
-def _pieces_of(
-    offset: int, nbytes: int, bs: int
-) -> List[Tuple[int, int, int]]:
-    """``split_into_blocks`` with the dominant case inlined: a request
-    contained in one block (every block-aligned workload op) skips the
-    loop.  Geometry only — no priced quantity passes through here."""
-    block, intra = divmod(offset, bs)
-    if intra + nbytes <= bs:
-        return [(block, intra, nbytes)]
-    return split_into_blocks(offset, nbytes, bs)
 
 
 class _FFCacheHit(Event):
@@ -425,7 +412,7 @@ class CacheStage:
 
     @property
     def block_size(self) -> int:
-        return self.engine.system.block_size
+        return self.engine.block_size
 
     @property
     def dirty_or_destaging(self) -> bool:
@@ -469,8 +456,8 @@ class CacheStage:
             # arithmetic as the node fast-forward: only legal while the
             # link is provably idle (DESIGN §6.14 applies unchanged).
             return None
-        bs = engine.system.block_size
-        pieces = _pieces_of(offset, nbytes, bs)
+        bs = engine.block_size
+        pieces = split_into_blocks(offset, nbytes, bs)
         cache = self.caches[client]
         if op == "read":
             if len(pieces) == 1:

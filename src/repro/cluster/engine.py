@@ -135,6 +135,10 @@ class ExecutionEngine:
         self.cluster = system.cluster
         self.env = system.env
         self.planner = system.planner
+        #: The system's live failed-disk set — the same set object,
+        #: which the system only ever mutates in place.
+        self.failed_disks: Set[int] = system.failed_disks
+        self.block_size: int = system.layout.block_size
         #: Per-stripe mutexes serializing parity read-modify-write.
         self._stripe_locks: Dict[int, Mutex] = {}
         self.mirror = MirrorState()
@@ -166,6 +170,14 @@ class ExecutionEngine:
         self._phase_release = [
             _PhaseRelease(self.phase_inflight, c) for c in range(n)
         ]
+        #: Per-client read contexts.  Each holds the live dirty-group
+        #: set, which mirror state only ever mutates in place.
+        self._read_ctx = [
+            ReadContext(
+                c, self.mirror.dirty_groups, system.read_policy != "static"
+            )
+            for c in range(n)
+        ]
         #: Memoized fast-path plan resolutions.  With no failed disks
         #: and no dirty mirror groups (the only states the fast path
         #: accepts, and the cache's read/write gate) the planner's
@@ -178,10 +190,6 @@ class ExecutionEngine:
         ] = OrderedDict()
 
     # -- plumbing ----------------------------------------------------------
-    @property
-    def failed_disks(self) -> Set[int]:
-        return self.system.failed_disks
-
     def cdd(self, node: int):
         return self.cluster.cdds[node]
 
@@ -254,7 +262,7 @@ class ExecutionEngine:
             return self.cache.try_fast_submit(client, op, offset, nbytes)
         if op == "write" and system.locking:
             return None
-        bs = system.block_size
+        bs = self.block_size
         if offset % bs + nbytes > bs:
             return None  # spans blocks: never a single-piece plan
         resolved = self._ff_resolved(client, op, offset, nbytes)
@@ -270,12 +278,11 @@ class ExecutionEngine:
             else None
         )
         done = self.cluster.nodes[client].try_fast_forward(
-            disk, io_op, io_offset, io_nbytes, priority=priority,
-            synth=synth,
+            disk, io_op, io_offset, io_nbytes, priority, synth
         )
         if done is None:
             return None
-        cdd = self.cdd(client)
+        cdd = self.cluster.cdds[client]
         cdd.issued_ops += 1
         cdd.transport.stats.local_block_ops += 1
         self.fast_submits += 1
@@ -440,13 +447,12 @@ class ExecutionEngine:
                 )
 
     # -- reads -------------------------------------------------------------
-    def _balance(self, sources: List[Placement]) -> Optional[Placement]:
-        """Apply the read policy to an ordered list of surviving copies."""
-        if not sources:
-            return None
-        if self.system.read_policy == "static" or len(sources) == 1:
-            return sources[0]
+    def _balance(self, sources: Tuple[Placement, ...]) -> Placement:
+        """Apply the shortest-queue policy to the surviving copies
+        (non-empty, preferred first)."""
         preferred = sources[0]
+        if len(sources) == 1:
+            return preferred
         depth0 = self.cluster.disk(preferred.disk).queue_depth
         best, best_depth = preferred, depth0
         for alt in sources[1:]:
@@ -463,15 +469,18 @@ class ExecutionEngine:
 
         The planner ranks the surviving copies (pure, given the live
         failed set and mirror-staleness state); the engine applies the
-        queue-depth read policy when the ranking allows it.
+        queue-depth read policy when the ranking allows it; the static
+        policy always reads the preferred copy.
         """
-        ctx = ReadContext(client=client, dirty_groups=self.mirror.dirty_groups)
+        ctx = self._read_ctx[client]
         candidates, may_balance = self.planner.read_candidates(
             piece, self.failed_disks, ctx
         )
-        if may_balance:
-            return self._balance(list(candidates))
-        return candidates[0] if candidates else None
+        if not candidates:
+            return None
+        if may_balance and ctx.balancing:
+            return self._balance(candidates)
+        return candidates[0]
 
     def _run_read(self, client: int, plan: IOPlan, trace):
         # Bulk spawn: one heapified Initialize batch for the fan-out

@@ -35,6 +35,7 @@ from repro.raid.planners import (
     Raid5Planner,
     RaidxPlanner,
 )
+from repro.raid.plan import split_into_blocks
 from repro.sim.events import Event
 from repro.units import KiB
 
@@ -419,8 +420,6 @@ class NfsSystem(StorageSystem):
         )
         # Server-side user-level processing + local disk I/O.
         yield server_node.cpu.driver_entry(kernel_level=False)
-        from repro.io.request import split_into_blocks
-
         for block, intra, take in split_into_blocks(
             offset, nbytes, self.block_size
         ):

@@ -409,13 +409,7 @@ class Disk:
         caller must have checked :meth:`ff_ready`.
         """
         req = DiskRequest(
-            op=op,
-            offset=offset,
-            nbytes=nbytes,
-            done=self.env.event(),
-            submitted_at=dispatch_at,
-            priority=priority,
-            trace=trace,
+            op, offset, nbytes, Event(self.env), dispatch_at, priority, trace
         )
         self._pending += 1
         if self._pending > self.stats.queue_depth_hw:

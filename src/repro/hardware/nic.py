@@ -45,16 +45,6 @@ class Nic:
         return self.tx.hold(nbytes)
 
     @property
-    def idle(self) -> bool:
-        """No transfer in flight on either direction.
-
-        Consulted by the node fast-forward conflict predicate: a busy
-        NIC means remote traffic may contend for this node's CPU before
-        an analytically-priced local request would release it.
-        """
-        return self.tx.outstanding == 0 and self.rx.outstanding == 0
-
-    @property
     def bytes_sent(self) -> float:
         return self.tx.bytes_carried
 

@@ -219,15 +219,16 @@ class Node:
             for d in disk_ids
         ]
         self.disk_ids = list(disk_ids)
+        self._disk_by_id = dict(zip(self.disk_ids, self.disks))
 
     def local_disk(self, disk_id: int) -> Disk:
         """The local :class:`Disk` with the given global id."""
-        try:
-            return self.disks[self.disk_ids.index(disk_id)]
-        except ValueError:
+        disk = self._disk_by_id.get(disk_id)
+        if disk is None:
             raise KeyError(
                 f"disk {disk_id} is not local to node {self.node_id}"
-            ) from None
+            )
+        return disk
 
     def disk_io(self, disk_id: int, op: str, offset: int, nbytes: int,
                 priority: int = 0, trace: Optional[int] = None):
@@ -264,7 +265,7 @@ class Node:
         driver-entry hop (DESIGN §6.14) and the cache stage's memcpy hit
         pricing (DESIGN §6.18).
         """
-        now = self.env.now
+        now = self.env._now
         return now + self.cpu._work._reserve(seconds, 0.0, now)
 
     def ff_ready_chain(
@@ -279,18 +280,16 @@ class Node:
         """
         if not self.fast_forward:
             return None
-        cpu_link = self.cpu._work
-        scsi_link = self.scsi._link
-        if cpu_link.outstanding or scsi_link.outstanding:
+        if self.cpu._work.outstanding or self.scsi._link.outstanding:
             return None
+        # A transfer in flight on either NIC direction means remote
+        # traffic may contend for this node's CPU before the priced
+        # request would release it.
         nic = self.nic
-        if nic is not None and not nic.idle:
+        if nic is not None and (nic.tx.outstanding or nic.rx.outstanding):
             return None
-        try:
-            disk = self.local_disk(disk_id)
-        except KeyError:
-            return None
-        if not disk.ff_ready(op, offset, nbytes):
+        disk = self._disk_by_id.get(disk_id)
+        if disk is None or not disk.ff_ready(op, offset, nbytes):
             return None
         return disk
 
@@ -307,27 +306,6 @@ class Node:
         the CPU first (DESIGN §6.18).
         """
         return t1 + self.scsi._link._reserve(nbytes, 0.0, t1)
-
-    def ff_claim_chain(
-        self, disk: Disk, op: str, offset: int, nbytes: int,
-        priority: int = 0,
-    ):
-        """Claim the priced hop chain on a disk :meth:`ff_ready_chain`
-        approved: CPU driver entry, SCSI transfer, disk preload.
-        Returns ``(t1, t2, done)`` — the CPU and bus release times and
-        the completion marker's event.
-
-        The predicate and the claims are split so the cache stage can
-        defer the claims to the pop slot where the phase path makes
-        them (DESIGN §6.18); the claim arithmetic itself is the link's
-        own reservation, and stays valid while the link queue only grows
-        behind ``_free_at``.
-        """
-        # Eager CPU claim for the driver-entry work (see ff_claim_cpu).
-        t1 = self.ff_claim_cpu(self.config.cpu.kernel_request_overhead_s)
-        t2 = self.ff_claim_scsi(t1, nbytes)
-        done = disk.ff_preload(op, offset, nbytes, t2, priority=priority)
-        return t1, t2, done
 
     def try_fast_forward(
         self, disk_id: int, op: str, offset: int, nbytes: int,
@@ -353,10 +331,12 @@ class Node:
         disk = self.ff_ready_chain(disk_id, op, offset, nbytes)
         if disk is None:
             return None
-        now = self.env.now
-        t1, t2, done = self.ff_claim_chain(
-            disk, op, offset, nbytes, priority=priority
-        )
+        now = self.env._now
+        # The three eager claims: CPU driver entry, SCSI transfer, disk
+        # preload — each the link's own reservation (see ff_claim_cpu).
+        t1 = self.ff_claim_cpu(self.config.cpu.kernel_request_overhead_s)
+        t2 = self.ff_claim_scsi(t1, nbytes)
+        done = disk.ff_preload(op, offset, nbytes, t2, priority)
         if synth is not None:
             # t2 + service is the exact float the completion marker was
             # armed at — the phase path's request end time.

@@ -1,6 +1,5 @@
-"""I/O path helpers: block splitting and per-disk queue disciplines."""
+"""I/O path helpers: per-disk queue disciplines."""
 
-from repro.io.request import split_into_blocks
 from repro.io.scheduler import (
     DiskScheduler,
     FifoScheduler,
@@ -15,5 +14,4 @@ __all__ = [
     "LookScheduler",
     "SstfScheduler",
     "make_scheduler",
-    "split_into_blocks",
 ]

@@ -10,6 +10,7 @@ around the ring.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List
 
 from repro.raid.layout import Layout, Placement
@@ -24,7 +25,7 @@ class ChainedDeclusteringLayout(Layout):
     def data_rows(self) -> int:
         return self.rows // 2
 
-    @property
+    @cached_property
     def data_blocks(self) -> int:
         return self.data_rows * self.n_disks
 
@@ -33,11 +34,7 @@ class ChainedDeclusteringLayout(Layout):
         """Byte offset where the mirror region starts on every disk."""
         return self.data_rows * self.block_size
 
-    def data_location(self, block: int) -> Placement:
-        self.check_block(block)
-        disk = block % self.n_disks
-        row = block // self.n_disks
-        return Placement(disk, row * self.block_size)
+    # data_location: the Layout base class's table-cached striping.
 
     def redundancy_locations(self, block: int) -> List[Placement]:
         self.check_block(block)

@@ -12,6 +12,7 @@ clients as one contiguous virtual disk (the single I/O space).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.errors import AddressError, ConfigurationError, LayoutError
@@ -83,10 +84,12 @@ class Layout:
 
     @property
     def data_blocks(self) -> int:
-        """Total addressable logical blocks."""
+        """Total addressable logical blocks.  Layouts are immutable, so
+        subclasses compute it once (``cached_property``): it bounds every
+        placement lookup through :meth:`check_block`."""
         raise NotImplementedError
 
-    @property
+    @cached_property
     def data_capacity(self) -> int:
         """Addressable bytes of the virtual disk."""
         return self.data_blocks * self.block_size
@@ -103,11 +106,11 @@ class Layout:
 
         Layouts are immutable and their placement geometry is periodic:
         the disk pattern repeats every rotation of ``period`` logical
-        blocks while per-disk offsets advance by a fixed stride.  A
-        subclass that implements :meth:`_placement_rotation` and
-        :meth:`_data_location_uncached` therefore gets exact (not
-        approximate) table-cached lookups from this base method; other
-        subclasses override :meth:`data_location` directly.
+        blocks while per-disk offsets advance by a fixed stride.  Every
+        layout therefore gets exact (not approximate) table-cached
+        lookups from this method by describing one rotation with
+        :meth:`_placement_rotation` and :meth:`_data_location_uncached`
+        (plain striping by default).
         """
         self.check_block(block)
         table = self._data_table
@@ -121,19 +124,29 @@ class Layout:
     def _placement_rotation(self) -> "Tuple[int, int]":
         """``(blocks per rotation, offset advance per rotation in bytes)``.
 
-        Implemented by subclasses that enable the table-cached
-        :meth:`data_location`.
+        Plain striping: one block per disk per row.
         """
-        raise NotImplementedError
+        return self.n_disks, self.block_size
 
     def _data_location_uncached(self, block: int) -> Placement:
         """Pure placement formula: no caching, no bounds check.
 
         Must be total over ``[0, period)`` even when the array is
         smaller than one rotation.  Kept alongside the table path so
-        property tests can check table/formula agreement.
+        property tests can check table/formula agreement.  Plain
+        striping: block ``i`` on disk ``i mod D``, row ``i // D``.
         """
-        raise NotImplementedError
+        return Placement(
+            block % self.n_disks, block // self.n_disks * self.block_size
+        )
+
+    def data_disk_cycle(self) -> Tuple[int, ...]:
+        """Primary disks of one placement rotation: block ``b``'s data
+        lives on disk ``cycle[b % len(cycle)]``."""
+        table = self._data_table
+        if table is None:
+            table = self._build_data_table()
+        return tuple(disk for disk, _base in table[2])
 
     def _build_data_table(self) -> "Tuple[int, int, tuple]":
         period, advance = self._placement_rotation()

@@ -46,23 +46,25 @@ def split_into_blocks(
     """Split a byte range into (block_index, intra_offset, length) pieces.
 
     Pieces never cross block boundaries; partial first/last blocks are
-    represented by a non-zero ``intra_offset`` / short ``length``.
-    (Also exposed as :func:`repro.io.request.split_into_blocks`; the
-    planner layer keeps its own copy because ``repro.raid`` sits below
-    ``repro.io`` in the layering.)
+    represented by a non-zero ``intra_offset`` / short ``length``.  A
+    range inside one block (every block-aligned request) costs a single
+    ``divmod``.  This is the one splitter: the planners, the cache stage
+    and the NFS server all call it.
     """
     if block_size <= 0:
         raise ValueError("block_size must be positive")
     if nbytes < 0:
         raise ValueError("negative size")
-    out: List[Tuple[int, int, int]] = []
-    pos = offset
+    block, intra = divmod(offset, block_size)
+    if intra + nbytes <= block_size:
+        return [(block, intra, nbytes)] if nbytes else []
+    out: List[Tuple[int, int, int]] = [(block, intra, block_size - intra)]
+    pos = offset + block_size - intra
     end = offset + nbytes
     while pos < end:
-        block = pos // block_size
-        intra = pos - block * block_size
-        take = min(block_size - intra, end - pos)
-        out.append((block, intra, take))
+        block += 1
+        take = min(block_size, end - pos)
+        out.append((block, 0, take))
         pos += take
     return out
 
@@ -288,9 +290,13 @@ class ReadContext(NamedTuple):
     """Runtime state a planner may consult when ranking read sources.
 
     Passed *into* the pure planner by the engine on every attempt: the
-    reading client (locality decisions) and the set of mirror groups
-    whose image is not yet consistent (write-behind staleness guard).
+    reading client (locality decisions), the set of mirror groups
+    whose image is not yet consistent (write-behind staleness guard),
+    and whether the engine's read policy balances across copies.  When
+    it does not, the engine reads the first candidate, so a planner may
+    return that copy alone.
     """
 
     client: int
     dirty_groups: AbstractSet[int] = frozenset()
+    balancing: bool = True

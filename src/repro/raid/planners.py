@@ -64,16 +64,18 @@ class Planner:
     # -- addressing --------------------------------------------------------
     def pieces_for(self, offset: int, nbytes: int) -> List[Piece]:
         """Split a logical byte range into per-disk pieces."""
-        capacity = self.layout.data_capacity
+        layout = self.layout
+        capacity = layout.data_capacity
         if offset < 0 or nbytes < 0 or offset + nbytes > capacity:
             raise AddressError(
                 f"range [{offset}, {offset + nbytes}) outside virtual disk "
                 f"of {capacity} bytes"
             )
+        data_location = layout.data_location
         return [
-            Piece(block, intra, take, self.layout.data_location(block))
+            Piece(block, intra, take, data_location(block))
             for block, intra, take in split_into_blocks(
-                offset, nbytes, self.layout.block_size
+                offset, nbytes, layout.block_size
             )
         ]
 
@@ -419,6 +421,14 @@ class RaidxPlanner(Planner):
     ) -> Tuple[Tuple[Placement, ...], bool]:
         lay = self.layout
         primary = piece.placement
+        if (
+            not ctx.balancing
+            and not self.read_local_mirror
+            and primary.disk not in failed
+        ):
+            # The live primary wins whatever the image's state, and no
+            # policy will look past it: skip the mirror geometry.
+            return (primary,), False
         group, disk, base, pos = lay.mirror_slot(  # type: ignore[attr-defined]
             piece.block
         )

@@ -7,9 +7,10 @@ tolerance).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List
 
-from repro.raid.layout import Layout, Placement
+from repro.raid.layout import Layout
 
 
 class Raid0Layout(Layout):
@@ -22,15 +23,11 @@ class Raid0Layout(Layout):
     def data_rows(self) -> int:
         return self.rows
 
-    @property
+    @cached_property
     def data_blocks(self) -> int:
         return self.rows * self.n_disks
 
-    def data_location(self, block: int) -> Placement:
-        self.check_block(block)
-        disk = block % self.n_disks
-        row = block // self.n_disks
-        return Placement(disk, row * self.block_size)
+    # data_location: the Layout base class's table-cached striping.
 
     def stripe_of(self, block: int) -> int:
         self.check_block(block)

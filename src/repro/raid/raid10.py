@@ -10,6 +10,7 @@ Reads alternate between the two copies for load balance.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List
 
 from repro.errors import ConfigurationError
@@ -37,7 +38,7 @@ class Raid10Layout(Layout):
     def data_rows(self) -> int:
         return self.rows
 
-    @property
+    @cached_property
     def data_blocks(self) -> int:
         return self.rows * self.n_pairs
 

@@ -9,6 +9,7 @@ executed by the shared :mod:`repro.cluster.engine`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List
 
 from repro.raid.layout import Layout, Placement
@@ -23,7 +24,7 @@ class Raid5Layout(Layout):
     def data_rows(self) -> int:
         return self.rows
 
-    @property
+    @cached_property
     def data_blocks(self) -> int:
         return self.rows * (self.n_disks - 1)
 

@@ -33,6 +33,7 @@ Consequences reproduced from the paper:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List
 
 from repro.errors import ConfigurationError
@@ -97,7 +98,7 @@ class RaidxLayout(Layout):
     def data_rows(self) -> int:
         return self._data_rows
 
-    @property
+    @cached_property
     def data_blocks(self) -> int:
         return self.data_rows * self.n_disks
 
@@ -106,15 +107,7 @@ class RaidxLayout(Layout):
         """Byte offset where the clustered-image region starts."""
         return self.data_rows * self.block_size
 
-    # -- data placement ----------------------------------------------------
-    # data_location is table-cached by the Layout base class.
-    def _placement_rotation(self) -> tuple[int, int]:
-        return self.n_disks, self.block_size
-
-    def _data_location_uncached(self, block: int) -> Placement:
-        disk = block % self.n_disks
-        row = block // self.n_disks
-        return Placement(disk, row * self.block_size)
+    # data_location: the Layout base class's table-cached striping.
 
     # -- mirror placement ----------------------------------------------------
     def _local_block(self, c: int, ell: int) -> int:

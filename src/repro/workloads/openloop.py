@@ -107,7 +107,7 @@ class _Completion:
             event.defused()
             wl._failed += 1
         else:
-            lat = wl.env.now - self.start
+            lat = wl.env._now - self.start
             wl._hist.add(lat)
             if wl._exact is not None:
                 wl._exact.append(lat)
@@ -278,12 +278,10 @@ class OpenLoopWorkload:
                     "placement='local' needs a block layout "
                     "(not available on this storage system)"
                 )
-            drawn = blocks.tolist()
-            owners = {
-                b: layout.data_location(b).disk % n_nodes
-                for b in dict.fromkeys(drawn)
-            }
-            clients = [owners[b] for b in drawn]
+            # The owner of each block's primary disk, for all blocks at
+            # once: placement repeats with the layout's disk cycle.
+            cycle = np.array(layout.data_disk_cycle()) % n_nodes
+            clients = cycle[blocks % len(cycle)].tolist()
         else:
             clients = [
                 client_node(self.cluster, i) for i in range(n)
@@ -298,11 +296,11 @@ class OpenLoopWorkload:
         submit = self.cluster.storage.submit
         nbytes = min(self.op_size, self.cluster.storage.block_size)
         for i in range(len(times)):
-            delay = base + times[i] - env.now
+            delay = base + times[i] - env._now
             if delay > 0:
                 yield delay
             ev = submit(clients[i], ops[i], offsets[i], nbytes)
-            ev.callbacks.append(_Completion(self, env.now))
+            ev.callbacks.append(_Completion(self, env._now))
         if self._completed + self._failed < self._total:
             self._done = env.event()
             yield self._done

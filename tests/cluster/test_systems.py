@@ -332,7 +332,7 @@ def test_raidx_balanced_read_avoids_dirty_image():
         # Deep queue on the primary would normally divert to the image.
         for _ in range(8):
             c.disk(primary.disk).read(0, BS)
-        src = c.storage._read_source(0, c.storage.sios.pieces(0, BS)[0])
+        src = c.storage._read_source(0, c.storage.planner.pieces_for(0, BS)[0])
         # The image may be mid-flush; only a *clean* image is eligible.
         if c.storage._dirty_groups:
             assert src == primary

@@ -18,6 +18,7 @@ import tracemalloc
 
 import pytest
 
+from repro.raid import make_layout
 from repro.raid.layout import Placement
 from repro.raid.plan import Piece, ReadContext
 from repro.raid.planners import RaidxPlanner
@@ -174,6 +175,22 @@ def test_raid10_cached_matches_formula(disks):
         assert layout.redundancy_locations(b) == [
             Placement(2 * (b % pairs) + 1, (b // pairs) * bs)
         ]
+
+
+@pytest.mark.parametrize("name", ["raid0", "chained", "raidx"])
+@pytest.mark.parametrize("disks", [3, 6, 12])
+def test_striped_layouts_cached_match_striping(name, disks):
+    # RAID-0, chained declustering and RAID-x share the base class's
+    # default rotation: block b on disk b mod D, row b // D.
+    layout = make_layout(
+        name, n_disks=disks, block_size=4 * KiB,
+        disk_capacity=17 * 4 * KiB,
+    )
+    bs = layout.block_size
+    for b in range(layout.data_blocks):
+        assert layout.data_location(b) == Placement(
+            b % disks, (b // disks) * bs
+        )
 
 
 def test_table_is_built_lazily_and_reused():

@@ -168,3 +168,48 @@ def test_full_stripe_detection():
     assert layout.full_stripe(list(range(width)))
     assert not layout.full_stripe(list(range(width - 1)))
     assert layout.full_stripe(list(range(width * 2)))
+
+
+EXTENT_GEOMETRIES = [(3, 2), (4, 1), (4, 3), (6, 2), (8, 1)]  # (n, k)
+
+
+def _data_blocks_formula(name, n, k, rows):
+    disks = n * k
+    if name == "raid0":
+        return rows * disks
+    if name == "raid5":
+        return rows * (disks - 1)
+    if name == "raid10":
+        return rows * (disks // 2)
+    if name == "chained":
+        return (rows // 2) * disks
+    assert name == "raidx"
+    data_rows = max(
+        d for d in range(rows // 2 + 1)
+        if _image_rows_scanned(n, d) <= rows - d
+    )
+    return data_rows * disks
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+@pytest.mark.parametrize("n,k", EXTENT_GEOMETRIES)
+@pytest.mark.parametrize("rows", [9, 64])
+def test_extents_match_formulas(name, n, k, rows):
+    layout = lay(name, n_disks=n * k, rows=rows, stripe_width=n)
+    blocks = _data_blocks_formula(name, n, k, rows)
+    assert layout.data_blocks == blocks
+    assert layout.data_capacity == blocks * layout.block_size
+    layout.check_block(0)
+    layout.check_block(blocks - 1)
+    for outside in (-1, blocks):
+        with pytest.raises(AddressError):
+            layout.check_block(outside)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+@pytest.mark.parametrize("n,k", EXTENT_GEOMETRIES)
+def test_data_disk_cycle_matches_placement(name, n, k):
+    layout = lay(name, n_disks=n * k, rows=9, stripe_width=n)
+    cycle = layout.data_disk_cycle()
+    for b in range(layout.data_blocks):
+        assert layout.data_location(b).disk == cycle[b % len(cycle)]

@@ -12,6 +12,7 @@ bump an explicit, reviewable change.
 Deselect with ``pytest -m "not perf_smoke"``.
 """
 
+import gc
 import importlib.util
 import json
 import pathlib
@@ -46,7 +47,11 @@ def test_floors_cover_every_scenario():
 @pytest.mark.perf_smoke
 @pytest.mark.parametrize("scenario", sorted(FLOORS))
 def test_kernel_throughput_floor(scenario):
-    stats = bench_kernel.measure(scenario, scale=SCALE, repeats=1)
+    # Best of 3 from a collected heap, like BENCH_kernel.json's best of
+    # 7: one sample at this scale lasts milliseconds, so a single stall
+    # from whatever else shares the host can sink it below the floor.
+    gc.collect()
+    stats = bench_kernel.measure(scenario, scale=SCALE, repeats=3)
     assert "error" not in stats, stats
     rate = stats["events_per_sec"]
     assert rate > FLOORS[scenario], (
