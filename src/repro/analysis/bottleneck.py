@@ -5,26 +5,17 @@ ranks utilizations — the "where did the time go" companion to the
 bandwidth numbers, used by the sensitivity benchmark (A11) to verify
 that scaling the *named* bottleneck actually moves throughput.
 
-When request tracing is on (:mod:`repro.obs`), the report is built from
-the recorded spans instead of the hardware counters: per-track busy time
-is the sum of span durations, which additionally yields the foreground /
-background disk split from the spans' ``priority`` args.
+Every figure comes from the always-on load registry
+(:func:`repro.obs.load.collect_load`), so a run reads the same with or
+without a tracer installed, and at any sample rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
-from repro.obs import runtime as _obs
-from repro.obs.trace import (
-    CPU_DRIVER,
-    CPU_PROTO,
-    DISK_SERVICE,
-    NET_RX,
-    NET_TX,
-    SCSI_TRANSFER,
-)
+from repro.obs.load import class_utilizations, collect_load
 
 
 @dataclass
@@ -36,91 +27,20 @@ class ResourceUsage:
     peak: float
 
 
-#: Span kind → resource class for span-based usage accounting.
-_SPAN_CLASS = {
-    DISK_SERVICE: "disk",
-    NET_TX: "nic_tx",
-    NET_RX: "nic_rx",
-    CPU_DRIVER: "cpu",
-    CPU_PROTO: "cpu",
-    SCSI_TRANSFER: "scsi",
-}
-
-_CLASS_ORDER = ("disk", "disk_foreground", "nic_tx", "nic_rx", "cpu", "scsi")
-
-
 def _usage(name: str, vals: List[float]) -> ResourceUsage:
     if not vals:
         return ResourceUsage(name, 0.0, 0.0)
     return ResourceUsage(name, sum(vals) / len(vals), max(vals))
 
 
-def span_resource_usage(spans: Iterable, now: float) -> List[ResourceUsage]:
-    """Per-class utilization computed from recorded spans.
-
-    Each track's busy time is the summed duration of its spans of the
-    class's kinds; ``disk_foreground`` keeps only disk-service spans
-    whose ``priority`` arg is 0 (foreground data ops, not background
-    image flushes).
-    """
-    if now <= 0:
+def resource_usage(cluster) -> List[ResourceUsage]:
+    """Utilization (busy fraction since t=0) per resource class, from
+    the cluster's load registry; empty before the cluster has run."""
+    if cluster.env.now <= 0:
         return []
-    busy: Dict[str, Dict[str, float]] = {c: {} for c in _CLASS_ORDER}
-    for span in spans:
-        cls = _SPAN_CLASS.get(span.kind)
-        if cls is None:
-            continue
-        d = span.end - span.start
-        track_busy = busy[cls]
-        track_busy[span.track] = track_busy.get(span.track, 0.0) + d
-        if cls == "disk" and (span.args or {}).get("priority", 0) == 0:
-            fg = busy["disk_foreground"]
-            fg[span.track] = fg.get(span.track, 0.0) + d
     return [
-        _usage(
-            cls,
-            [min(1.0, b / now) for b in busy[cls].values()],
-        )
-        for cls in _CLASS_ORDER
-    ]
-
-
-def resource_usage(cluster, spans: Optional[Iterable] = None
-                   ) -> List[ResourceUsage]:
-    """Utilization (busy fraction since t=0) per resource class.
-
-    With ``spans`` (or an installed, non-empty tracer), the figures come
-    from the recorded spans; otherwise from the hardware busy-time
-    counters.
-    """
-    now = cluster.env.now
-    if now <= 0:
-        return []
-    if spans is None:
-        tracer = _obs.TRACER
-        if tracer.enabled and len(tracer):
-            spans = tracer.spans
-    if spans is not None:
-        return span_resource_usage(spans, now)
-
-    def frac(busy: float) -> float:
-        return min(1.0, busy / now)
-
-    disks = cluster.all_disks()
-    disk_u = [frac(d.stats.busy_time) for d in disks]
-    disk_fg_u = [frac(d.stats.busy_time_foreground) for d in disks]
-    tx_u = [frac(n.tx.busy_time) for n in cluster.network.nics]
-    rx_u = [frac(n.rx.busy_time) for n in cluster.network.nics]
-    cpu_u = [frac(node.cpu._work.busy_time) for node in cluster.nodes]
-    scsi_u = [node.scsi.utilization() for node in cluster.nodes]
-
-    return [
-        _usage("disk", disk_u),
-        _usage("disk_foreground", disk_fg_u),
-        _usage("nic_tx", tx_u),
-        _usage("nic_rx", rx_u),
-        _usage("cpu", cpu_u),
-        _usage("scsi", scsi_u),
+        _usage(cls, vals)
+        for cls, vals in class_utilizations(collect_load(cluster)).items()
     ]
 
 
@@ -131,24 +51,21 @@ def resource_usage(cluster, spans: Optional[Iterable] = None
 _CRITICAL_CLASSES = ("disk_foreground", "nic_tx", "nic_rx", "cpu", "scsi")
 
 
-def bottleneck(cluster, spans: Optional[Iterable] = None) -> ResourceUsage:
+def bottleneck(cluster) -> ResourceUsage:
     """The critical-path resource class with the highest peak
     utilization (see ``_CRITICAL_CLASSES`` for why raw disk utilization
     is excluded)."""
     usages = [
-        u
-        for u in resource_usage(cluster, spans)
-        if u.name in _CRITICAL_CLASSES
+        u for u in resource_usage(cluster) if u.name in _CRITICAL_CLASSES
     ]
     if not usages:
         raise ValueError("cluster has not run yet")
     return max(usages, key=lambda u: u.peak)
 
 
-def usage_table(cluster, spans: Optional[Iterable] = None
-                ) -> Dict[str, Dict[str, float]]:
+def usage_table(cluster) -> Dict[str, Dict[str, float]]:
     """{resource: {mean, peak}} for reports."""
     return {
         u.name: {"mean": round(u.mean, 3), "peak": round(u.peak, 3)}
-        for u in resource_usage(cluster, spans)
+        for u in resource_usage(cluster)
     }

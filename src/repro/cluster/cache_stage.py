@@ -448,8 +448,6 @@ class CacheStage:
             return None
         engine = self.engine
         node = engine.cluster.nodes[client]
-        if not node.fast_forward:
-            return None
         cpu_link = node.cpu._work
         if cpu_link.outstanding:
             # A hit is priced on the CPU work link with the same eager

@@ -12,8 +12,14 @@ from repro.errors import ConfigurationError
 from repro.hardware.disk import Disk
 from repro.hardware.network import Network
 from repro.hardware.node import Node
+from repro.obs.load import class_utilizations, collect_load, disk_utilizations
 from repro.sim.core import Environment
 from repro.sim.rand import RandomStreams
+
+
+def _mean(vals) -> float:
+    vals = list(vals)
+    return sum(vals) / len(vals) if vals else 0.0
 
 
 class Cluster:
@@ -115,18 +121,18 @@ class Cluster:
 
     # -- fleet statistics -----------------------------------------------------
     def disk_utilization(self) -> float:
-        """Mean busy fraction across all disks."""
-        disks = self.all_disks()
-        if not disks:
-            return 0.0
-        return sum(d.utilization() for d in disks) / len(disks)
+        """Mean busy fraction across all disks (from the load registry)."""
+        return _mean(disk_utilizations(collect_load(self)).values())
 
     def stats(self) -> dict:
         """A snapshot of cluster-wide counters for reports."""
+        util = class_utilizations(collect_load(self))
+        ports = [t + r for t, r in zip(util["nic_tx"], util["nic_rx"])]
         return {
             "time": self.env.now,
-            "disk_utilization": self.disk_utilization(),
-            "network_utilization": self.network.aggregate_utilization(),
+            "disk_utilization": _mean(util["disk"]),
+            # Mean per-port utilization (TX+RX) across the fabric.
+            "network_utilization": _mean(ports) / 2,
             "messages": self.transport.stats.summary(),
         }
 

@@ -260,7 +260,10 @@ class ExecutionEngine:
             # fills in closed form (calling back into _ff_resolved for
             # the fill's plan) and vetoes everything else (DESIGN §6.18).
             return self.cache.try_fast_submit(client, op, offset, nbytes)
-        if op == "write" and system.locking:
+        if system.locking:
+            # A same-instant locking write charges its lock-request CPU
+            # at its request Initialize, ahead of a read's piece claim;
+            # a fast read would already hold the CPU (DESIGN §6.14).
             return None
         bs = self.block_size
         if offset % bs + nbytes > bs:

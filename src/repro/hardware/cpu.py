@@ -53,6 +53,3 @@ class Cpu:
             else p.user_level_request_overhead_s
         )
         return self.busy(cost)
-
-    def utilization(self) -> float:
-        return self._work.utilization()

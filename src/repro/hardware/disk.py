@@ -244,12 +244,6 @@ class Disk:
         """Bring a failed disk back (contents considered rebuilt)."""
         self.failed = False
 
-    def utilization(self) -> float:
-        """Busy fraction since simulation start."""
-        if self.env.now <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / self.env.now)
-
     # -- service model -----------------------------------------------------
     def seek_time(self, distance_bytes: int) -> float:
         """Seek time for a head movement of ``distance_bytes``.

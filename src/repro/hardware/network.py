@@ -159,12 +159,3 @@ class Network:
     def transfer(self, src: int, dst: int, nbytes: float, trace=None):
         """Convenience: run :meth:`send` as a process; returns its event."""
         return self.env.process(self.send(src, dst, nbytes, trace=trace))
-
-    def aggregate_utilization(self) -> float:
-        """Mean per-port utilization (TX+RX) across the fabric."""
-        if not self.nics:
-            return 0.0
-        total = 0.0
-        for nic in self.nics:
-            total += nic.tx.utilization() + nic.rx.utilization()
-        return total / (2 * len(self.nics))

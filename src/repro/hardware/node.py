@@ -19,9 +19,9 @@ from repro.sim.events import _KEY_OFFSET, Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.nic import Nic
 
-#: Process-wide default for the node-level analytic fast-forward
-#: (per-node override via ``Node(fast_forward=...)``).  Read at Node
-#: construction time, like the disk-level ``FAST_FORWARD`` flag.
+#: Process-wide default for the node-level analytic fast-forward.
+#: Read when a storage system is built (``DistributedArraySystem.node_ff``
+#: is the one switch), so A/B runs flip ``REPRO_NODE_FF`` before building.
 NODE_FAST_FORWARD = os.environ.get("REPRO_NODE_FF", "1").lower() not in (
     "0",
     "off",
@@ -194,7 +194,6 @@ class Node:
         node_id: int,
         disk_ids: List[int],
         scheduler_policy: Optional[str] = None,
-        fast_forward: Optional[bool] = None,
     ):
         self.env = env
         self.config = config
@@ -205,9 +204,6 @@ class Node:
         #: node built stand-alone); the fast-forward predicate treats a
         #: missing NIC as idle.
         self.nic: Optional["Nic"] = None
-        self.fast_forward = (
-            NODE_FAST_FORWARD if fast_forward is None else fast_forward
-        )
         self.disks: List[Disk] = [
             Disk(
                 env,
@@ -278,8 +274,6 @@ class Node:
         — and ``None`` otherwise.  Checks only; claims nothing, so a
         ``None`` leaves no state behind.
         """
-        if not self.fast_forward:
-            return None
         if self.cpu._work.outstanding or self.scsi._link.outstanding:
             return None
         # A transfer in flight on either NIC direction means remote

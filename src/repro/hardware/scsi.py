@@ -36,6 +36,3 @@ class ScsiBus:
         """Occupy the bus for a ``nbytes`` transfer: a link hold, yielded
         at once (``yield bus.transfer(n)``)."""
         return self._link.hold(nbytes)
-
-    def utilization(self) -> float:
-        return self._link.utilization()

@@ -18,7 +18,8 @@ device id (``load.disk3.busy_s``, ``load.node1.cpu_busy_s``).  All
 per-device figures are *counters* — cumulative seconds, bytes, or op
 counts — never ratios: ratios don't merge.  Utilization is derived at
 report time against ``load.sim_s`` (summed simulated seconds, so a
-merged utilization is the busy-weighted mean across shards).  The one
+merged utilization is the busy-weighted mean across shards), by
+:func:`class_utilizations` for bottleneck analysis and cluster stats.  The one
 exception is the queue-depth high-water, which must merge by *max*,
 not sum: each disk's high-water is observed into the shared
 ``load.disk.queue_depth_hw`` histogram, whose merge keeps the exact
@@ -123,44 +124,75 @@ def _collect_cache(stage: Any, reg: MetricsRegistry) -> None:
         reg.observe(CACHE_DIRTY_HW, st.dirty_hw)
 
 
+def _device_counters(reg: MetricsRegistry, dev: str, suffix: str
+                     ) -> Dict[int, float]:
+    """{device id: value} of every ``load.<dev><id>.<suffix>`` counter,
+    in device-id order — the one parser for per-device names."""
+    prefix, tail = f"load.{dev}", f".{suffix}"
+    out: Dict[int, float] = {}
+    for name in reg.counter_names():
+        if name.startswith(prefix) and name.endswith(tail):
+            ident = name[len(prefix):-len(tail)]
+            if ident.isdigit():
+                out[int(ident)] = reg.counter(name).value
+    return dict(sorted(out.items()))
+
+
 def cache_hit_ratios(reg: MetricsRegistry) -> Dict[int, float]:
     """{node id: read hit ratio} derived from a (possibly merged)
     registry — hits / (hits + misses), the access-weighted mean across
     shards.  Nodes with no cache traffic are omitted."""
+    misses = _device_counters(reg, "node", "cache.misses")
     out: Dict[int, float] = {}
-    prefix, suffix = "load.node", ".cache.hits"
-    for name in reg.counter_names():
-        if not (name.startswith(prefix) and name.endswith(suffix)):
-            continue
-        ident = name[len(prefix):-len(suffix)]
-        if not ident.isdigit():
-            continue
-        hits = reg.counter(name).value
-        misses = reg.counter(f"{prefix}{ident}.cache.misses").value
-        if hits + misses > 0:
-            out[int(ident)] = hits / (hits + misses)
+    for node, hits in _device_counters(reg, "node", "cache.hits").items():
+        total = hits + misses.get(node, 0)
+        if total > 0:
+            out[node] = hits / total
     return out
 
 
-def disk_utilizations(reg: MetricsRegistry) -> Dict[int, float]:
-    """{disk id: busy fraction} derived from a (possibly merged) registry.
-
-    Uses ``load.diskN.busy_s / load.sim_s`` — over merged shards this is
-    the busy-weighted mean utilization per disk.
-    """
+def _device_utilizations(reg: MetricsRegistry, dev: str, suffix: str
+                         ) -> Dict[int, float]:
+    """{device id: busy fraction} from the ``load.<dev><id>.<suffix>``
+    busy-seconds counters over ``load.sim_s`` — over merged shards, the
+    busy-weighted mean utilization per device.  The one place busy time
+    becomes a ratio."""
     sim_s = reg.counter("load.sim_s").value
     if not sim_s:
         return {}
-    out: Dict[int, float] = {}
-    prefix, suffix = "load.disk", ".busy_s"
-    for name in reg.counter_names():
-        if name.startswith(prefix) and name.endswith(suffix):
-            ident = name[len(prefix):-len(suffix)]
-            if ident.isdigit():
-                out[int(ident)] = min(
-                    1.0, reg.counter(name).value / sim_s
-                )
-    return out
+    return {
+        ident: min(1.0, busy / sim_s)
+        for ident, busy in _device_counters(reg, dev, suffix).items()
+    }
+
+
+def disk_utilizations(reg: MetricsRegistry) -> Dict[int, float]:
+    """{disk id: busy fraction} derived from a (possibly merged)
+    registry (``load.diskN.busy_s / load.sim_s``)."""
+    return _device_utilizations(reg, "disk", "busy_s")
+
+
+#: Utilization class → (device kind, busy-seconds counter suffix) in
+#: the registry's ``load.<dev><id>.<suffix>`` names.  ``disk_foreground``
+#: excludes background (priority-1) service such as RAID-x image flushes.
+_UTIL_CLASSES = {
+    "disk": ("disk", "busy_s"),
+    "disk_foreground": ("disk", "busy_fg_s"),
+    "nic_tx": ("nic", "tx_busy_s"),
+    "nic_rx": ("nic", "rx_busy_s"),
+    "cpu": ("node", "cpu_busy_s"),
+    "scsi": ("node", "scsi_busy_s"),
+}
+
+
+def class_utilizations(reg: MetricsRegistry) -> Dict[str, List[float]]:
+    """{utilization class: per-device busy fractions in device-id order}
+    for every class of :data:`_UTIL_CLASSES`; empty lists before any
+    simulated time has passed."""
+    return {
+        cls: list(_device_utilizations(reg, dev, suffix).values())
+        for cls, (dev, suffix) in _UTIL_CLASSES.items()
+    }
 
 
 def utilization_skew(reg: MetricsRegistry) -> float:

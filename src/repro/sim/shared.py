@@ -7,8 +7,6 @@ queue at message granularity.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.sim.core import Environment
 from repro.sim.events import Event
 
@@ -96,10 +94,3 @@ class BandwidthLink:
 
     def _completed(self, _event: Event) -> None:
         self.outstanding -= 1
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of ``elapsed`` (default: env.now) the link was busy."""
-        total = self.env.now if elapsed is None else elapsed
-        if total <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / total)

@@ -257,6 +257,23 @@ def test_node_ff_locking_writes_fall_back():
     assert ff == phase
 
 
+@pytest.mark.parametrize("placement", ["mixed", "local"])
+@pytest.mark.parametrize("arch", ["raid0", "raidx", "raid10", "chained"])
+def test_node_ff_locking_mixed_ops_match_phase_path(arch, placement):
+    # A same-instant locking write charges its lock-request CPU at its
+    # request Initialize, ahead of a phase read's piece claim; a read
+    # priced at submit would take the CPU first.  With locking on, the
+    # uncached fast path therefore refuses reads as well as writes.
+    phase, _ = _run_scenario(
+        False, arch=arch, placement=placement, locking=True
+    )
+    ff, cluster = _run_scenario(
+        True, arch=arch, placement=placement, locking=True
+    )
+    assert ff == phase
+    assert cluster.storage.engine.fast_submits == 0
+
+
 def test_node_ff_reduces_event_count():
     _, phase_cluster = _run_scenario(
         False, op_mix="read", placement="local"
@@ -271,11 +288,9 @@ def test_node_ff_reduces_event_count():
 def test_module_flag_controls_node_default(monkeypatch):
     monkeypatch.setattr(node_mod, "NODE_FAST_FORWARD", False)
     cluster = build_cluster(small_config(n=4), architecture="raid0")
-    assert not cluster.nodes[0].fast_forward
     assert not cluster.storage.node_ff
     monkeypatch.setattr(node_mod, "NODE_FAST_FORWARD", True)
     cluster = build_cluster(small_config(n=4), architecture="raid0")
-    assert cluster.nodes[0].fast_forward
     assert cluster.storage.node_ff
 
 

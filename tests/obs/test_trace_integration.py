@@ -185,7 +185,7 @@ def test_bottleneck_report_uses_spans():
 
     tracer = obs_runtime.install()
     cluster = _run_raidx_writes(tracer)
-    by_name = {u.name: u for u in resource_usage(cluster, tracer.spans)}
+    by_name = {u.name: u for u in resource_usage(cluster)}
     assert by_name["disk"].peak > 0
     # Background flush service inflates total disk busy over foreground.
     assert by_name["disk"].peak >= by_name["disk_foreground"].peak

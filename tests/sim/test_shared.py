@@ -69,7 +69,9 @@ def test_link_utilization_accounting(env):
 
     env.process(t(env))
     env.run()
-    assert link.utilization() == pytest.approx(0.5)
+    # Busy one second of two: half utilized.
+    assert link.busy_time == pytest.approx(1.0)
+    assert env.now == pytest.approx(2.0)
     assert link.bytes_carried == 100
 
 
