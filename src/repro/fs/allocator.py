@@ -1,19 +1,23 @@
-"""Block allocation: a bitmap allocator with extent-friendly policy."""
+"""Block allocation: a sparse allocator with extent-friendly policy."""
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Set
 
 from repro.errors import NoSpaceError
 
 
 class BlockAllocator:
-    """First-fit-with-hint allocator over the FS data region.
+    """Next-fit-with-hint allocator over the FS data region.
 
-    Tracks free blocks in a bitmap (a Python bytearray here); the FS
-    charges one bitmap-block write per allocate/free call.  The
-    next-fit hint keeps a growing file's blocks nearly contiguous, which
-    matters to the disk model's sequential detection.
+    Keeps the set of allocated block indices rather than a map of the
+    whole region, so memory and construction cost are O(allocated), not
+    O(device size) — a workload touches a few hundred blocks of a
+    multi-million-block virtual disk.  The FS still models an on-disk
+    bitmap: it charges one bitmap-block write per touched bitmap block
+    on every allocate/free call.  The next-fit hint keeps a growing
+    file's blocks nearly contiguous, which matters to the disk model's
+    sequential detection.
     """
 
     def __init__(self, first_block: int, n_blocks: int):
@@ -21,13 +25,16 @@ class BlockAllocator:
             raise ValueError("empty allocation region")
         self.first_block = first_block
         self.n_blocks = n_blocks
-        self._free = bytearray(b"\x01" * n_blocks)
+        self._used: Set[int] = set()  # allocated indices into the region
         self._hint = 0
-        self.allocated = 0
+
+    @property
+    def allocated(self) -> int:
+        return len(self._used)
 
     @property
     def free_count(self) -> int:
-        return self.n_blocks - self.allocated
+        return self.n_blocks - len(self._used)
 
     def allocate(self, count: int = 1) -> List[int]:
         """Allocate ``count`` blocks, preferring a contiguous run."""
@@ -37,36 +44,45 @@ class BlockAllocator:
             raise NoSpaceError(
                 f"need {count} blocks, only {self.free_count} free"
             )
+        used = self._used
+        n = self.n_blocks
         out: List[int] = []
         idx = self._hint
         scanned = 0
-        while len(out) < count and scanned < self.n_blocks:
-            if self._free[idx]:
-                self._free[idx] = 0
+        while len(out) < count and scanned < n:
+            if idx not in used:
+                used.add(idx)
                 out.append(self.first_block + idx)
-            idx = (idx + 1) % self.n_blocks
+            idx += 1
+            if idx == n:
+                idx = 0
             scanned += 1
         if len(out) < count:  # pragma: no cover - guarded by free_count
             for b in out:
-                self._free[b - self.first_block] = 1
-            raise NoSpaceError("allocator bitmap inconsistent")
+                used.discard(b - self.first_block)
+            raise NoSpaceError("allocator state inconsistent")
         self._hint = idx
-        self.allocated += count
         return out
 
     def free(self, blocks) -> None:
-        """Return blocks to the pool."""
+        """Return blocks to the pool.
+
+        Atomic: every block is checked (in the region, currently
+        allocated, not repeated within the call) before any is released.
+        """
+        used = self._used
+        release: Set[int] = set()
         for b in blocks:
             idx = b - self.first_block
             if not 0 <= idx < self.n_blocks:
                 raise ValueError(f"block {b} outside allocator region")
-            if self._free[idx]:
+            if idx not in used or idx in release:
                 raise ValueError(f"double free of block {b}")
-            self._free[idx] = 1
-            self.allocated -= 1
+            release.add(idx)
+        used -= release
 
     def is_free(self, block: int) -> bool:
         idx = block - self.first_block
         if not 0 <= idx < self.n_blocks:
             raise ValueError(f"block {block} outside allocator region")
-        return bool(self._free[idx])
+        return idx not in self._used

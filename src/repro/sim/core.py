@@ -636,14 +636,22 @@ class Process(Event):
         return sleep
 
     def _finish(self, value: Any) -> None:
-        self._target = None
+        # Drop the self-references (the bound ``_wake``, and the sleep
+        # whose ``process`` points back here) so reference counting
+        # frees a finished process instead of the cyclic collector.
+        self._target = self._wake = self._sleep = self._sleep_cbs = None
         self._ok = True
         self._value = value
         env = self.env
         heappush(env._queue, (env._now, next(env._seq), self))
 
     def _fail_out(self, exc: BaseException) -> None:
-        self._target = None
+        self._target = self._wake = self._sleep = self._sleep_cbs = None
+        tb = exc.__traceback__
+        if tb is not None:
+            # Start the traceback at the generator: the kernel frame that
+            # caught ``exc`` holds this process, which holds ``exc``.
+            exc.__traceback__ = tb.tb_next
         self._ok = False
         self._value = exc
         env = self.env

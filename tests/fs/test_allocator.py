@@ -79,3 +79,15 @@ def test_wraparound_scan():
     a.free(first[:2])  # holes at 0,1
     got = a.allocate(4)  # takes 4,5 then wraps to 0,1
     assert sorted(got) == [0, 1, 4, 5]
+
+
+@pytest.mark.parametrize("bad", ["repeat", "outside", "unallocated"])
+def test_rejected_free_releases_nothing(bad):
+    a = BlockAllocator(0, 8)
+    b, other = a.allocate(2)
+    call = {"repeat": [b, b], "outside": [b, 99], "unallocated": [b, 5]}
+    with pytest.raises(ValueError):
+        a.free(call[bad])
+    assert a.free_count == 6
+    assert not a.is_free(b)
+    assert not a.is_free(other)
