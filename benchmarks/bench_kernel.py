@@ -17,19 +17,16 @@ Pure-kernel scenarios (no device models):
 * ``event_relay``     — chains of processes, each waiting on one event
   and succeeding the next: exercises ``Event.succeed`` + wakeup
   delivery + process termination events.
-* ``store_producer_consumer`` — P producer/consumer pairs over a
-  :class:`~repro.sim.resources.Store`: the cluster message-queue path.
 * ``link_chain``      — P processes contending on one node's CPU work
   link via ``yield cpu.busy(s)``: the bandwidth-link wait behind every
   protocol-CPU, driver-entry, memcpy, XOR, SCSI and NIC hop (a link
   hold, resumed inline like a numeric sleep).
 
-Device fast-forward scenarios (kernel + the disk model, measuring the
-analytic fast-forward of :mod:`repro.hardware.disk` — flip it off with
-``REPRO_DISK_FF=0`` for a before/after comparison):
+Device scenarios (kernel + the callback-driven disk server of
+:mod:`repro.hardware.disk`):
 
 * ``disk_drain``      — one disk with a deep FIFO backlog queued up
-  front, drained back to back: the pure serve-loop hot path.
+  front, drained back to back: the pure server hot path.
 * ``mirror_flush``    — waves of bulk background (priority 1) writes,
   the RAID-x OSM image-flush pattern, spawned via ``schedule_many``.
 
@@ -53,7 +50,6 @@ from typing import Callable, Dict
 from repro.config import CpuParams
 from repro.hardware.cpu import Cpu
 from repro.sim.core import Environment
-from repro.sim.resources import Store
 
 # -- scenarios ----------------------------------------------------------
 
@@ -115,27 +111,6 @@ def event_relay(chain: int = 1_000, laps: int = 60) -> int:
     return total
 
 
-def store_producer_consumer(pairs: int = 20, items: int = 2_000) -> int:
-    """P producer/consumer pairs over one Store each."""
-    env = Environment()
-
-    def producer(store):
-        for i in range(items):
-            yield store.put(i)
-
-    def consumer(store):
-        for _ in range(items):
-            yield store.get()
-
-    for _ in range(pairs):
-        store = Store(env)
-        env.process(producer(store))
-        env.process(consumer(store))
-    env.run()
-    # Per pair: 2 Initialize + items puts + items gets + 2 terminations.
-    return pairs * (2 * items + 4)
-
-
 def link_chain(processes: int = 100, holds: int = 2_000) -> int:
     """P processes each charge E CPU slices on one shared CPU link."""
     env = Environment()
@@ -156,9 +131,9 @@ def disk_drain(requests: int = 8_000) -> int:
     """Drain a deep FIFO backlog on one disk, queued before t=0.
 
     Offsets alternate sequential runs with far seeks (both service-time
-    branches); the serve loop never goes idle, so this is the purest
-    measurement of per-request service cost — the path the analytic
-    fast-forward replaces with one Recurring firing per completion.
+    branches); the server never goes idle, so this is the purest
+    measurement of per-request service cost: one Recurring firing per
+    completion.
     """
     from repro.config import DiskParams
     from repro.hardware.disk import Disk
@@ -176,10 +151,9 @@ def disk_drain(requests: int = 8_000) -> int:
         last = disk.submit(op, offset, step)
         offset = (offset + step) % span
     env.run(last)
-    # Normalized to the phase path's three heap events per request
-    # (StorePut, service completion, done) so before/after runs report
-    # comparable events/sec; the fast-forward needs fewer actual events
-    # per request, which is precisely the speedup being measured.
+    # A fixed normalization of three events per request (the server
+    # pops fewer), kept so rates stay comparable with the committed
+    # floors and BENCH_kernel.json.
     return 3 * requests
 
 
@@ -188,7 +162,7 @@ def mirror_flush(flushes: int = 6_400) -> int:
 
     Each wave submits a batch of sequential priority-1 extents (the
     n-1 images of an OSM cluster written behind the foreground ack) and
-    waits for the batch, exercising schedule_many + the fast-forward's
+    waits for the batch, exercising schedule_many + the server's
     sequential closed form.
     """
     from repro.config import DiskParams
@@ -219,7 +193,6 @@ SCENARIOS: Dict[str, Callable[..., int]] = {
     "timeout_chain": timeout_chain,
     "sleep_chain": sleep_chain,
     "event_relay": event_relay,
-    "store_producer_consumer": store_producer_consumer,
     "link_chain": link_chain,
     "disk_drain": disk_drain,
     "mirror_flush": mirror_flush,

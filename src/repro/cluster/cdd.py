@@ -179,11 +179,7 @@ class CooperativeDiskDriver:
     ):
         """The remote storage manager's share of a request."""
         if self.manager_servers is not None:
-            server = self.manager_servers[owner]
-            server.max_queue_seen = max(
-                server.max_queue_seen, server.queue_length + 1
-            )
-            yield server.submit(
+            yield self.manager_servers[owner].submit(
                 op, disk, offset, nbytes, priority=priority,
                 client=self.node_id, trace=trace,
             )

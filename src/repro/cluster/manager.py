@@ -5,10 +5,10 @@ By default the simulation executes a remote request's manager work
 inline in the requesting process against the owner node's shared
 resources — timing-equivalent to a fully concurrent server and cheap to
 simulate.  This module provides the *explicit* alternative: each node
-runs a dispatcher process over an inbox, serving requests with a
-bounded number of service slots (kernel worker threads).  With
-``service_slots`` small, server-side queueing becomes visible — the
-knob the inline model cannot express.
+serves requests with a bounded number of service slots (kernel worker
+threads); a request that finds every slot busy waits in the slots' FIFO
+queue.  With ``service_slots`` small, server-side queueing becomes
+visible — the knob the inline model cannot express.
 
 Enable via ``build_cluster(..., cdd_mode="server")`` (optionally
 ``cdd_service_slots=N``).
@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.sim.core import Environment
 from repro.sim.events import Event
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 @dataclass
@@ -40,7 +40,7 @@ class ManagerRequest:
 
 
 class StorageManagerServer:
-    """A node's storage-manager: inbox + bounded worker pool."""
+    """A node's storage-manager: a bounded worker pool with a FIFO queue."""
 
     def __init__(self, node, service_slots: int = 8):
         if service_slots < 1:
@@ -48,12 +48,10 @@ class StorageManagerServer:
         self.node = node
         self.env: Environment = node.env
         self.service_slots = service_slots
-        self.inbox: Store = Store(self.env)
         self._slots = Resource(self.env, capacity=service_slots)
         self.served = 0
         self.max_queue_seen = 0
         self.total_wait = 0.0
-        self._dispatcher = self.env.process(self._dispatch())
 
     # -- client-facing ---------------------------------------------------
     def submit(
@@ -72,27 +70,25 @@ class StorageManagerServer:
             enqueued_at=self.env.now,
             trace=trace,
         )
-        self.inbox.put(req)
-        self.max_queue_seen = max(self.max_queue_seen, len(self.inbox))
+        self.env.process(self._serve(req))
         return req.done
 
     @property
     def queue_length(self) -> int:
-        return len(self.inbox)
+        """Requests waiting for a service slot."""
+        return len(self._slots.queue)
 
     def mean_wait(self) -> float:
         return self.total_wait / self.served if self.served else 0.0
 
     # -- server side -----------------------------------------------------
-    def _dispatch(self):
-        while True:
-            req = yield self.inbox.get()
-            # Claim a service slot, then serve concurrently.
-            slot = self._slots.request()
-            yield slot
-            self.env.process(self._serve(req, slot))
-
-    def _serve(self, req: ManagerRequest, slot):
+    def _serve(self, req: ManagerRequest):
+        slot = self._slots.request()
+        # High-water mark of the requests waiting for a slot, this one
+        # included when it found every slot busy.
+        if self.queue_length > self.max_queue_seen:
+            self.max_queue_seen = self.queue_length
+        yield slot
         try:
             self.total_wait += self.env.now - req.enqueued_at
             yield self.node.cpu.driver_entry(kernel_level=True)

@@ -9,31 +9,21 @@ sequential run (within ``sequential_window_bytes`` ahead of the head).
 Seek time interpolates between track-to-track and full-stroke with the
 usual square-root profile.
 
-Requests are served one at a time by a server process; the queue
-discipline is pluggable (see :mod:`repro.io.scheduler`).
+Requests are served one at a time; the queue discipline is pluggable
+(see :mod:`repro.io.scheduler`).
 
-Analytic fast-forward
----------------------
-With :data:`FAST_FORWARD` enabled (the default; set ``REPRO_DISK_FF=0``
-to disable) the server process is replaced by a callback-driven loop
-built on :class:`repro.sim.core.Recurring`: the whole service interval
-is computed in closed form at dispatch and a single marker firing per
-completion performs the span/stats/completion bookkeeping — no
-generator frame, and no Store machinery at all: submissions land in a
-plain list, and a parked server is woken by arming the marker directly.
-Relative to the phase path this *removes* heap events (the StorePut
-per submit, the StoreGet per idle grant), which is order-isomorphic —
-deleting an event that runs no callbacks only shifts later sequence
-numbers uniformly, never reordering them (see DESIGN §6.13 for the
-full legality argument).  Event order, spans, and float timestamps are
-byte-identical to the phase-by-phase path; the golden equivalence
-suite pins this.
+The server is callback-driven, built on :class:`repro.sim.core.Recurring`:
+the whole service interval is computed in closed form at dispatch and a
+single marker firing per completion performs the span/stats/completion
+bookkeeping.  Submissions land in a plain list, and a parked server is
+woken by arming the marker directly.  The goldens in
+``tests/hardware/golden_disk.json`` pin event order, spans and float
+timestamps; they were recorded on the generator serve loop this server
+replaced, and DESIGN §6.13 argues why the two are order-isomorphic.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass, field
 from heapq import heappush
 from math import sqrt as _sqrt
@@ -45,20 +35,9 @@ from repro.obs import runtime as _obs
 from repro.obs.trace import DISK_QUEUE_WAIT, DISK_SERVICE
 from repro.sim.core import Environment, Recurring
 from repro.sim.events import Event
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.io.scheduler import DiskScheduler
-
-#: Process-wide default for the analytic fast-forward (per-disk override
-#: via ``Disk(fast_forward=...)``).  Read at Disk construction time, so
-#: tests and A/B benchmarks can flip it before building a cluster.
-FAST_FORWARD = os.environ.get("REPRO_DISK_FF", "1").lower() not in (
-    "0",
-    "off",
-    "no",
-    "false",
-)
 
 
 @dataclass
@@ -121,7 +100,7 @@ class DiskRequest:
 
 
 class Disk:
-    """A single simulated disk with its own server process."""
+    """A single simulated disk with its own callback-driven server."""
 
     def __init__(
         self,
@@ -130,7 +109,6 @@ class Disk:
         disk_id: int = 0,
         scheduler: Optional["DiskScheduler"] = None,
         name: str = "",
-        fast_forward: Optional[bool] = None,
     ):
         from repro.io.scheduler import FifoScheduler
 
@@ -147,33 +125,28 @@ class Disk:
         self._head = 0
         #: End of the last completed request, for sequential detection.
         self._last_end = 0
-        self._inbox: Store = Store(env)
         self._pending = 0
-        self._ff = FAST_FORWARD if fast_forward is None else fast_forward
-        if self._ff:
-            # Callback-driven server: one Recurring firing per request
-            # completion.  The marker's fn dispatches on _ff_req: None
-            # means "wake from park" (grant _ff_wake_req), anything
-            # else is the in-flight request completing now.
-            self._ff_marker = Recurring(env, self._ff_step)
-            self._ff_items: List[DiskRequest] = []
-            self._ff_parked = True
-            self._ff_wake_req: Optional[DiskRequest] = None
-            self._ff_req: Optional[DiskRequest] = None
-            self._ff_info: Optional[tuple] = None
-            # DiskParams is frozen: bind the closed-form constants once
-            # (avg_rotation_s is a computed property — one call, not
-            # one per dispatch).
-            p = self.params
-            self._ff_ctrl = p.controller_overhead_s
-            self._ff_window = p.sequential_window_bytes
-            self._ff_rate = p.media_rate
-            self._ff_rot = p.avg_rotation_s
-            self._ff_t2t = p.track_to_track_seek_s
-            self._ff_stroke = p.full_stroke_seek_s - p.track_to_track_seek_s
-            self._ff_cap = p.capacity_bytes
-        else:
-            self._server = env.process(self._serve())
+        # Callback-driven server: one Recurring firing per request
+        # completion.  The marker's fn dispatches on _ff_req: None
+        # means "wake from park" (grant _ff_wake_req), anything else
+        # is the in-flight request completing now.
+        self._ff_marker = Recurring(env, self._ff_step)
+        self._ff_items: List[DiskRequest] = []
+        self._ff_parked = True
+        self._ff_wake_req: Optional[DiskRequest] = None
+        self._ff_req: Optional[DiskRequest] = None
+        self._ff_info: Optional[tuple] = None
+        # DiskParams is frozen: bind the closed-form constants once
+        # (avg_rotation_s is a computed property — one call, not one
+        # per dispatch).
+        p = self.params
+        self._ff_ctrl = p.controller_overhead_s
+        self._ff_window = p.sequential_window_bytes
+        self._ff_rate = p.media_rate
+        self._ff_rot = p.avg_rotation_s
+        self._ff_t2t = p.track_to_track_seek_s
+        self._ff_stroke = p.full_stroke_seek_s - p.track_to_track_seek_s
+        self._ff_cap = p.capacity_bytes
 
     # -- public API ------------------------------------------------------
     @property
@@ -211,19 +184,13 @@ class Disk:
         self._pending += 1
         if self._pending > self.stats.queue_depth_hw:
             self.stats.queue_depth_hw = self._pending
-        if self._ff:
-            if self._ff_parked:
-                # Wake the parked server: arm the marker at now.  The
-                # phase path's put+grant pair becomes one heap event;
-                # the dropped StorePut ran no callbacks, so the removal
-                # is a uniform sequence shift (DESIGN §6.13).
-                self._ff_parked = False
-                self._ff_wake_req = req
-                self.env.schedule(self._ff_marker)
-            else:
-                self._ff_items.append(req)
+        if self._ff_parked:
+            # Wake the parked server: arm the marker at now.
+            self._ff_parked = False
+            self._ff_wake_req = req
+            self.env.schedule(self._ff_marker)
         else:
-            self._inbox.put(req)
+            self._ff_items.append(req)
         return req.done
 
     def read(self, offset: int, nbytes: int, priority: int = 0,
@@ -244,136 +211,19 @@ class Disk:
         """Bring a failed disk back (contents considered rebuilt)."""
         self.failed = False
 
-    # -- service model -----------------------------------------------------
-    def seek_time(self, distance_bytes: int) -> float:
-        """Seek time for a head movement of ``distance_bytes``.
-
-        Square-root interpolation between track-to-track and full-stroke,
-        the standard fit for mechanical arms.
-        """
-        if distance_bytes <= 0:
-            return 0.0
-        p = self.params
-        frac = min(1.0, distance_bytes / p.capacity_bytes)
-        return p.track_to_track_seek_s + (
-            p.full_stroke_seek_s - p.track_to_track_seek_s
-        ) * math.sqrt(frac)
-
-    def service_time(self, req: DiskRequest) -> tuple:
-        """(seek, rotation, transfer) components for ``req`` now."""
-        p = self.params
-        sequential = (
-            req.offset >= self._last_end
-            and req.offset - self._last_end < p.sequential_window_bytes
-        )
-        if sequential:
-            seek = 0.0
-            rot = 0.0
-        else:
-            seek = self.seek_time(abs(req.offset - self._head))
-            rot = p.avg_rotation_s
-        xfer = req.nbytes / p.media_rate
-        return seek, rot, xfer
-
-    def _serve(self):
-        sched = self.scheduler
-        while True:
-            # Refill the scheduler from the inbox; block when idle.
-            if sched.empty():
-                req = yield self._inbox.get()
-                sched.push(req)
-            while len(self._inbox) > 0:
-                sched.push(self._inbox.items.pop(0))
-
-            req = sched.pop(head=self._head)
-            if self.failed:
-                self._pending -= 1
-                req.done.fail(DiskFailedError(self.disk_id))
-                continue
-
-            seek, rot, xfer = self.service_time(req)
-            service = self.params.controller_overhead_s + seek + rot + xfer
-            tracer = _obs.TRACER
-            if tracer.enabled:
-                t0 = self.env.now
-                if t0 > req.submitted_at:
-                    tracer.record(
-                        DISK_QUEUE_WAIT,
-                        self.name,
-                        req.submitted_at,
-                        t0,
-                        trace=req.trace,
-                        op=req.op,
-                        priority=req.priority,
-                    )
-            yield service  # numeric sleep: kernel fast path
-            if tracer.enabled:
-                now = self.env.now
-                tracer.record(
-                    DISK_SERVICE,
-                    self.name,
-                    now - service,
-                    now,
-                    trace=req.trace,
-                    op=req.op,
-                    nbytes=req.nbytes,
-                    seek=seek,
-                    rotation=rot,
-                    transfer=xfer,
-                    priority=req.priority,
-                )
-
-            st = self.stats
-            st.busy_time += service
-            if req.priority == 0:
-                st.busy_time_foreground += service
-            else:
-                st.busy_time_background += service
-            st.seek_time += seek
-            st.rotation_time += rot
-            st.transfer_time += xfer
-            if seek == 0.0 and rot == 0.0:
-                st.sequential_hits += 1
-            if req.op == "read":
-                st.reads += 1
-                st.bytes_read += req.nbytes
-            else:
-                st.writes += 1
-                st.bytes_written += req.nbytes
-
-            self._head = req.offset + req.nbytes
-            self._last_end = self._head
-            self._pending -= 1
-            if self.failed:
-                req.done.fail(DiskFailedError(self.disk_id))
-            else:
-                req.done.succeed(service)
-
-    # -- analytic fast-forward ---------------------------------------------
-    # A callback transliteration of _serve.  Every action with an
-    # observable effect (scheduler drain/pop, span record, stats
-    # update, done trigger) runs in the same relative order and
-    # allocates heap sequence numbers at the same points as the
-    # generator; the Store round-trips the generator needs to block are
-    # dropped entirely, which only removes callback-free heap events —
-    # a uniform sequence shift.  The two paths are therefore
-    # order-isomorphic: identical timestamps, span streams, and
-    # counters.  DESIGN §6.13 spells out the argument.
-
     # -- node fast-forward hooks (see repro.hardware.node) ----------------
 
     def ff_ready(self, op: str, offset: int, nbytes: int) -> bool:
         """True when a node fast-forward may preload this request.
 
-        Requires the callback server (so the marker is free to arm),
-        parked with no backlog and nothing in flight, a healthy disk,
-        and a request that would pass :meth:`DiskRequest.validate` —
-        folded in here so the claim/preload sequence that follows can
-        never raise after upstream resources have been charged.
+        Requires the server parked (so the marker is free to arm) with
+        no backlog and nothing in flight, a healthy disk, and a request
+        that would pass :meth:`DiskRequest.validate` — folded in here so
+        the claim/preload sequence that follows can never raise after
+        upstream resources have been charged.
         """
         return (
-            self._ff
-            and self._ff_parked
+            self._ff_parked
             and not self.failed
             and self._pending == 0
             and (op == "read" or op == "write")
@@ -447,6 +297,8 @@ class Disk:
         )
         return req.done
 
+    # -- the server --------------------------------------------------------
+
     def _ff_step(self, now: float) -> Optional[float]:
         """Marker firing: wake from park, or complete the request at ``now``.
 
@@ -456,7 +308,7 @@ class Disk:
         """
         req = self._ff_req
         if req is None:
-            # Wake from park — the loop's ``req = yield inbox.get()``.
+            # Wake from park: the request that woke the server.
             self.scheduler.push(self._ff_wake_req)
             self._ff_wake_req = None
             service = self._ff_next(now)
@@ -516,13 +368,12 @@ class Disk:
     def _ff_next(self, now: float) -> Optional[float]:
         """Dispatch the next request; its service time, or None.
 
-        Mirrors the serve loop from its ``sched.empty()`` check through
-        the queue-wait span: drain arrivals, pop by policy, fail or
-        price.  The completion bookkeeping runs in :meth:`_ff_step`
-        when the marker pops.  On empty backlog the server parks (a
-        submit re-arms the marker); if arrivals raced in, the marker is
-        re-armed at ``now`` instead — the phase path's immediately
-        granted StoreGet.
+        Drains arrivals into the scheduler, pops by policy, then fails
+        or prices the request and records its queue-wait span.  The
+        completion bookkeeping runs in :meth:`_ff_step` when the marker
+        pops.  On empty backlog the server parks (a submit re-arms the
+        marker); if arrivals raced in, the marker is re-armed at
+        ``now`` instead, as a wake grant.
         """
         sched = self.scheduler
         items = self._ff_items
@@ -544,9 +395,10 @@ class Disk:
                 self._pending -= 1
                 req.done.fail(DiskFailedError(self.disk_id))
                 continue
-            # The service closed form, inlined from service_time()/
-            # seek_time() with the frozen params bound at construction.
-            # Identical float arithmetic, term for term.
+            # The service closed form (module docstring) with the
+            # frozen params bound at construction: seek and rotation
+            # skipped inside the sequential window, square-root seek
+            # between track-to-track and full-stroke otherwise.
             off = req.offset
             last_end = self._last_end
             if off >= last_end and off - last_end < self._ff_window:
@@ -578,7 +430,7 @@ class Disk:
                     priority=req.priority,
                 )
             self._ff_req = req
-            # The tracer rides along: the phase path gates the service
-            # span on the tracer it read at dispatch, not at completion.
+            # The tracer rides along: the service span is gated on the
+            # tracer read at dispatch, not at completion.
             self._ff_info = (service, seek, rot, xfer, tracer)
             return service

@@ -73,7 +73,6 @@ GUARDED: Dict[str, FrozenSet[str]] = {
         {
             "Disk.__init__",
             "Disk.submit",
-            "Disk._serve",
             "Disk.ff_preload",
             "Disk._ff_step",
             "Disk._ff_next",

@@ -22,7 +22,7 @@ Typical use::
 
 from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.core import Environment, Process, SimulationError
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.shared import BandwidthLink
 from repro.sim.sync import Barrier, CountdownLatch, Mutex
 from repro.sim.rand import RandomStreams
@@ -39,6 +39,5 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

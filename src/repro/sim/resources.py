@@ -1,4 +1,4 @@
-"""Queued resources: counting resources and stores.
+"""Queued resources: a counting resource with a FIFO wait queue.
 
 Requests are events; a process acquires with ``yield resource.request()``
 and must release with ``resource.release(req)`` (or use the request as a
@@ -7,7 +7,7 @@ context manager inside the process generator).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import List
 
 from repro.sim.core import Environment
 from repro.sim.events import Event
@@ -99,80 +99,3 @@ class Resource:
             nxt = queue.pop(0)
             self.users.append(nxt)
             nxt.succeed()
-
-
-class StoreGet(Event):
-    __slots__ = ("filter",)
-
-    def __init__(
-        self,
-        store: "Store",
-        filter: Optional[Callable[[Any], bool]] = None,
-    ):
-        super().__init__(store.env)
-        self.filter = filter
-        store._getters.append(self)
-        store._dispatch()
-
-
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._putters.append(self)
-        store._dispatch()
-
-
-class Store:
-    """A FIFO store of discrete items with optional filtered gets.
-
-    The workhorse for message queues between simulated cluster nodes.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: List[Any] = []
-        self._getters: List[StoreGet] = []
-        self._putters: List[StorePut] = []
-
-    def put(self, item: Any) -> StorePut:
-        """Deposit ``item``; blocks while the store is full."""
-        return StorePut(self, item)
-
-    def get(
-        self, filter: Optional[Callable[[Any], bool]] = None
-    ) -> StoreGet:
-        """Withdraw the oldest item (optionally the oldest matching one)."""
-        return StoreGet(self, filter)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            for get in list(self._getters):
-                idx = None
-                if get.filter is None:
-                    if self.items:
-                        idx = 0
-                else:
-                    for i, item in enumerate(self.items):
-                        if get.filter(item):
-                            idx = i
-                            break
-                if idx is not None:
-                    self._getters.remove(get)
-                    get.succeed(self.items.pop(idx))
-                    progressed = True

@@ -69,11 +69,16 @@ def test_backward_access_is_not_sequential(env):
 
 
 def test_seek_time_monotonic_in_distance(env):
-    d = make_disk(env)
-    short = d.seek_time(1 * MB)
-    far = d.seek_time(5_000 * MB)
-    assert 0 < short < far <= d.params.full_stroke_seek_s
-    assert d.seek_time(0) == 0.0
+    def seek_of_first_read(offset):
+        # A fresh disk's head sits at 0: the seek covers ``offset``.
+        d = make_disk(env)
+        env.run(d.read(offset, 4 * KiB))
+        return d.stats.seek_time
+
+    short = seek_of_first_read(1 * MB)
+    far = seek_of_first_read(5_000 * MB)
+    assert 0 < short < far <= DiskParams().full_stroke_seek_s
+    assert seek_of_first_read(0) == 0.0
 
 
 def test_out_of_range_request_rejected(env):

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 from repro.sim.shared import BandwidthLink
 
 
@@ -55,28 +55,6 @@ def test_resource_never_oversubscribed(capacity, n_workers):
     env.run()
     assert peak[0] <= capacity
     assert active[0] == 0
-
-
-@given(items=st.lists(st.integers(), max_size=30))
-@settings(max_examples=40, deadline=None)
-def test_store_conserves_items(items):
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env):
-        for _ in items:
-            v = yield store.get()
-            got.append(v)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == items
 
 
 @given(

@@ -1,8 +1,8 @@
-"""Resource and Store behaviour."""
+"""Resource behaviour."""
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 
 def test_resource_capacity_enforced(env):
@@ -113,69 +113,3 @@ def test_request_cancel_leaves_queue(env):
     res.release(first)
     assert not second.triggered
     assert res.count == 0
-
-
-def test_store_fifo(env):
-    s = Store(env)
-    got = []
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield s.get()
-            got.append(item)
-
-    def producer(env):
-        for i in range(3):
-            yield env.timeout(1)
-            yield s.put(i)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [0, 1, 2]
-
-
-def test_store_filter_get(env):
-    s = Store(env)
-    got = []
-
-    def consumer(env):
-        item = yield s.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer(env):
-        for i in (1, 3, 4, 5):
-            yield s.put(i)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [4]
-    assert s.items == [1, 3, 5]
-
-
-def test_store_capacity_blocks_put(env):
-    s = Store(env, capacity=1)
-    done = []
-
-    def producer(env):
-        yield s.put("a")
-        yield s.put("b")
-        done.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(5)
-        yield s.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert done == [5]
-
-
-def test_store_len(env):
-    s = Store(env)
-    s.put(1)
-    s.put(2)
-    env.run()
-    assert len(s) == 2
