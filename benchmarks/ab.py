@@ -15,7 +15,9 @@ workload then runs once on each side per pair, through that tree's
 that goes first alternates from point to point and pair to pair, so a
 phase of host slowdown lands on both sides alike.  Every point's simulated outputs (``perfbench/gate.py``'s canonical form)
 must agree between the two sides; each differing field is printed, and
-any difference fails the run.
+any difference fails the run.  Each worker also reports its own peak
+resident memory (``ru_maxrss``) when its side closes; that figure is
+printed and recorded, but gates nothing.
 
 For ``wall_s`` (measured phase) and ``setup_s`` (cluster and workload
 construction), each summed over the workload's points per pair, the
@@ -33,11 +35,12 @@ import argparse
 import importlib.util
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("wall_s", "setup_s")
@@ -51,7 +54,8 @@ def worker(root: str, workload: str, seed: int, tiny: bool) -> None:
     """Serve point runs of ``root``'s tree over stdin/stdout.
 
     Announces the workload's point keys, then answers each line holding
-    a point index with that point's timings and canonical outputs.
+    a point index with that point's timings and canonical outputs.  At
+    the end of its input it reports its peak resident memory.
     """
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import gate
@@ -69,6 +73,8 @@ def worker(root: str, workload: str, seed: int, tiny: bool) -> None:
             "out": gate.canonical(rep.results[p.key]),
             "violations": rep.violations,
         }), flush=True)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"peak_rss_mb": peak}), flush=True)
 
 
 class Side:
@@ -89,6 +95,7 @@ class Side:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         )
         self.keys: List[str] = json.loads(self._line())
+        self.peak_rss_mb: Optional[float] = None
 
     def _line(self) -> str:
         line = self.proc.stdout.readline()
@@ -102,7 +109,11 @@ class Side:
         return json.loads(self._line())
 
     def close(self) -> None:
+        """End the worker; keeps the peak memory it reports on exit."""
         self.proc.stdin.close()
+        line = self.proc.stdout.readline()
+        if line:
+            self.peak_rss_mb = json.loads(line).get("peak_rss_mb")
         self.proc.wait()
 
 
@@ -199,6 +210,7 @@ def compare(base_root: str, change_root: str, args) -> Dict:
             m: summarize(samples["base"][m], samples["change"][m])
             for m in METRICS
         },
+        "peak_rss_mb": {s.name: s.peak_rss_mb for s in sides},
         "sim_identical": not diffs,
         "sim_diffs": {p: list(v) for p, v in sorted(diffs.items())},
         "violations": sorted(set(violations)),
@@ -230,6 +242,12 @@ def render(report: Dict) -> str:
             f"pair ratio {s['median_ratio']:.3f}  "
             f"best-of {s['base_best_of']:.4f} -> {s['change_best_of']:.4f} s"
             f"{'  CLEAR GAIN' if s['clear_gain'] else ''}"
+        )
+    peak = report.get("peak_rss_mb", {})
+    if peak and None not in peak.values():
+        lines.append(
+            f"  peak_rss_mb {peak['base']:.1f} -> {peak['change']:.1f}  "
+            f"(each worker's ru_maxrss; not gated)"
         )
     if report["sim_identical"]:
         lines.append("  simulated outputs identical on every point")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -105,6 +104,9 @@ def _run_points(
     if misses:
         miss_points = [points[i] for i in misses]
         if workers is not None and workers > 1:
+            # The pool loads only for a parallel sweep.
+            from concurrent.futures import ProcessPoolExecutor
+
             chunksize = -(-len(miss_points) // (workers * _CHUNKS_PER_WORKER))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 computed = list(

@@ -8,9 +8,10 @@ variance-reduction / reproducibility technique.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RandomStreams:
@@ -32,6 +33,10 @@ class RandomStreams:
                 f"{self.seed}:{name}".encode()
             ).digest()
             sub_seed = int.from_bytes(digest[:8], "little")
+            # numpy loads on the first draw: runs that draw nothing
+            # (the Fig. 5 grid, Andrew) never import it.
+            import numpy as np
+
             gen = np.random.default_rng(sub_seed)
             self._streams[name] = gen
         return gen

@@ -35,13 +35,14 @@ Three first-class arrival scenarios (``scenario=``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.obs.metrics import LogHistogram
 from repro.units import KiB
 from repro.workloads.base import client_node
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SCENARIOS = ("poisson", "zipf", "diurnal")
 
@@ -126,6 +127,11 @@ class OpenLoopWorkload:
     node — ``"roundrobin"`` cycles the nodes, ``"local"`` picks the
     owner of the target block's primary disk (every request is a local
     hit, the regime the node fast-forward collapses).
+
+    ``op_size`` must be positive and ``read_fraction`` (the read share
+    of ``op="mixed"``, default 0.5) within [0, 1]; both are checked
+    here.  A request never spans blocks: an ``op_size`` above the
+    storage block size is clamped to it when requests are issued.
     """
 
     def __init__(
@@ -163,6 +169,10 @@ class OpenLoopWorkload:
             raise ValueError(f"bad placement {placement!r}")
         if not 0.0 <= diurnal_amplitude <= 1.0:
             raise ValueError("diurnal_amplitude must be within [0, 1]")
+        if op_size <= 0:
+            raise ValueError("op_size must be positive")
+        if read_fraction is not None and not 0.0 <= read_fraction <= 1.0:
+            raise ValueError("read_fraction must be within [0, 1]")
         if op == "mixed" and read_fraction is None:
             read_fraction = 0.5
         self.cluster = cluster
@@ -186,6 +196,10 @@ class OpenLoopWorkload:
             # The logical address space may end mid-block on the last
             # disk; the layout's block count is the true upper bound.
             self.n_blocks = min(self.n_blocks, layout.data_blocks)
+        # numpy loads with the first open-loop workload, not with this
+        # module, which every `repro.workloads` import brings in.
+        import numpy as np
+
         self._rng = np.random.default_rng(seed)
         self._hist = LogHistogram("openloop_latency")
         self._exact: Optional[List[float]] = [] if exact_latencies else None
@@ -197,6 +211,8 @@ class OpenLoopWorkload:
     # -- schedule generation (vectorized, before the sim runs) -------------
     def _arrival_times(self) -> np.ndarray:
         """Request arrival offsets from the run start, ascending."""
+        import numpy as np
+
         rng = self._rng
         rate = self.rate
         if self.scenario != "diurnal":
@@ -247,6 +263,8 @@ class OpenLoopWorkload:
 
     def _blocks(self, n: int) -> np.ndarray:
         """Target block per request (uniform or Zipf hot-spot)."""
+        import numpy as np
+
         rng = self._rng
         if self.scenario != "zipf":
             return rng.integers(0, self.n_blocks, size=n)
@@ -260,6 +278,8 @@ class OpenLoopWorkload:
 
     def _generate(self):
         """Bake the full request schedule as plain Python lists."""
+        import numpy as np
+
         storage = self.cluster.storage
         bs = storage.block_size
         times = self._arrival_times()

@@ -6,12 +6,13 @@ used by integration tests and the extension examples.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.units import KiB
 from repro.workloads.base import ClientWorkload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ZipfAccessPattern:
@@ -27,6 +28,8 @@ class ZipfAccessPattern:
             raise ValueError("need at least one block")
         if not 0 < theta:
             raise ValueError("theta must be positive")
+        import numpy as np
+
         self.n_blocks = n_blocks
         self.theta = theta
         self._rng = rng or np.random.default_rng(0)

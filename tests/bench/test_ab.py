@@ -54,6 +54,11 @@ def test_compare_runs_both_sides_and_finds_them_identical(ab):
     wall = report["metrics"]["wall_s"]
     assert wall["pairs"] == 2 and wall["base_median"] > 0
     assert "wins" in ab.render(report)
+    # Each worker reports its own peak memory when its side closes.
+    peak = report["peak_rss_mb"]
+    assert sorted(peak) == ["base", "change"]
+    assert all(10 < mb < 1000 for mb in peak.values())
+    assert "peak_rss_mb" in ab.render(report)
 
 
 def test_render_names_every_differing_field(ab):
@@ -66,3 +71,16 @@ def test_render_names_every_differing_field(ab):
     text = ab.render(report)
     assert "DIFF ('p',).engine.evictions: 3 -> 0" in text
     assert "identical" not in text
+
+
+def test_render_reports_each_sides_peak_memory(ab):
+    s = ab.summarize([{"a": 1.0}], [{"a": 1.0}])
+    report = {
+        "workload": "w", "seed": 1, "base": "HEAD~1",
+        "metrics": {"wall_s": s}, "sim_identical": True,
+        "sim_diffs": {}, "violations": [],
+        "peak_rss_mb": {"base": 50.25, "change": 35.8},
+    }
+    assert "peak_rss_mb 50.2 -> 35.8" in ab.render(report)
+    report["peak_rss_mb"]["base"] = None  # a worker that died reports none
+    assert "peak_rss_mb" not in ab.render(report)

@@ -260,22 +260,27 @@ def test_server_mode_full_workload():
     assert all(s.max_queue_seen >= 0 for s in c.manager_servers)
 
 
-def _server_signature(arch, op, slots):
-    with obs_runtime.tracing() as tracer:
-        c = server_cluster(slots=slots, arch=arch)
-        r = ParallelIOWorkload(c, 4, op=op, size=256 * KiB).run()
+def _span_sha(tracer):
+    """sha256 of a tracer's span stream in canonical (exact-hex) form."""
     spans = [
         [s.kind, s.track, s.start.hex(), s.end.hex(), s.trace,
          _canon(s.args or {})]
         for s in tracer.spans
     ]
     stream = json.dumps(spans, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(stream.encode()).hexdigest()
+
+
+def _server_signature(arch, op, slots):
+    with obs_runtime.tracing() as tracer:
+        c = server_cluster(slots=slots, arch=arch)
+        r = ParallelIOWorkload(c, 4, op=op, size=256 * KiB).run()
     servers = c.manager_servers
     return (
         r.elapsed.hex(),
         tuple(s.mean_wait().hex() for s in servers),
         tuple(s.served for s in servers),
-        hashlib.sha256(stream.encode()).hexdigest(),
+        _span_sha(tracer),
     )
 
 
@@ -306,3 +311,97 @@ def test_max_queue_seen_counts_requests_waiting_for_a_slot(n):
     assert server.served == n
     assert server.max_queue_seen == n - 1
     assert server.queue_length == 0
+
+
+#: (slots, hops) -> (elapsed, node 0's mean_wait, span-stream sha256) of
+#: the same-instant tie run below; floats are exact hex.  The manager
+#: takes the CPU ahead of a local request issued one or more zero-delay
+#: steps behind its arrival, and behind one issued at no step.
+TIE_GOLDEN = {
+    (1, 0): (
+        "0x1.7d08fb6dab06bp-6", "0x1.74dd6f144ccf0p-8",
+        "4a75b56ed40b1173504eb2a185a940953a7c62ac3062a003dc49651836c4a414",
+    ),
+    (1, 1): (
+        "0x1.5d240f1a96cbdp-6", "0x1.a84e6842df78ap-10",
+        "64c2989bbd079428c65f9f7d79d32c05ee48e3ea7454fa5c7dbee737f1c38882",
+    ),
+    (1, 2): (
+        "0x1.5d240f1a96cbdp-6", "0x1.a84e6842df78ap-10",
+        "64c2989bbd079428c65f9f7d79d32c05ee48e3ea7454fa5c7dbee737f1c38882",
+    ),
+    (2, 0): (
+        "0x1.638195de2f284p-6", "0x0.0p+0",
+        "4ddb5a452fa09ba482cec91c8efe69377a2a76b9de3f2ba22c0e28fccc084e2a",
+    ),
+    (2, 1): (
+        "0x1.5d240f1a96cbdp-6", "0x0.0p+0",
+        "21c42aee2eddd65d4fd49c719f7358221579ddd3c37a33b200b02a490989cbeb",
+    ),
+    (2, 2): (
+        "0x1.5d240f1a96cbdp-6", "0x0.0p+0",
+        "21c42aee2eddd65d4fd49c719f7358221579ddd3c37a33b200b02a490989cbeb",
+    ),
+}
+
+
+def _tie_run(slots, hops=None, arrival=None):
+    """Clients 1 and 2 each read one block of disk 0 at t=0; the two
+    requests reach node 0's NIC at one instant.  With ``hops`` set,
+    client 0 also reads a block of its own disk 0, issued at the
+    instant ``arrival = (t_rx, t_a)`` client 1's request reaches node
+    0's storage manager, ``hops`` zero-delay steps behind it.  The
+    manager's work then races the local request for node 0's CPU.
+    Returns (tracer, cluster, the local request's issue time)."""
+    issued = []
+    with obs_runtime.tracing() as tracer:
+        c = server_cluster(slots=slots)
+        env = c.env
+
+        def local():
+            t_rx, t_a = arrival
+            # Wake at t_a (exactly: t_a - mid is exact by Sterbenz), and
+            # after client 1's arrival, which was queued at t_rx < mid.
+            mid = (t_rx + t_a) / 2
+            yield env.timeout(mid)
+            yield env.timeout(t_a - mid)
+            for _ in range(hops):
+                yield env.timeout(0)
+            issued.append(env.now)
+            yield c.storage.submit(0, "read", 8 * BS, BS)
+
+        c.storage.submit(1, "read", 0, BS)
+        c.storage.submit(2, "read", 4 * BS, BS)
+        if hops is not None:
+            env.process(local())
+        env.run()
+    return tracer, c, issued
+
+
+def _first_manager_arrival(tracer):
+    """(start, end) of the first protocol span on node 0's CPU: client
+    1's request, which reaches the storage manager at its end."""
+    return next(
+        (s.start, s.end) for s in tracer.spans
+        if s.kind == "cpu.proto" and s.track == "node0.cpu"
+    )
+
+
+@pytest.mark.parametrize(
+    "slots,hops", sorted(TIE_GOLDEN),
+    ids=[f"slots{s}-hops{h}" for s, h in sorted(TIE_GOLDEN)],
+)
+def test_same_instant_order_at_the_manager_matches_golden(slots, hops):
+    probe, _, _ = _tie_run(slots)
+    rx = [s.start for s in probe.spans if s.track == "node0.nic.rx"]
+    assert len(rx) == 2 and rx[0] == rx[1]  # the remote requests tie
+    arrival = _first_manager_arrival(probe)
+
+    tracer, c, issued = _tie_run(slots, hops, arrival)
+    # The local request ties with client 1's arrival at the manager.
+    assert issued == [arrival[1]]
+    assert _first_manager_arrival(tracer) == arrival
+    server = c.manager_servers[0]
+    assert server.served == 2
+    signature = (c.env.now.hex(), server.mean_wait().hex(), _span_sha(tracer))
+    assert signature == TIE_GOLDEN[slots, hops]

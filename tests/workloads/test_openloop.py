@@ -93,6 +93,41 @@ def test_validation():
         )
 
 
+@pytest.mark.parametrize("read_fraction", [1.5, -0.2])
+def test_read_fraction_outside_unit_interval_is_rejected(read_fraction):
+    # Out-of-range fractions used to run silently as all-read/all-write.
+    cluster = build_cluster(small_config(n=4), architecture="raidx")
+    with pytest.raises(ValueError, match="read_fraction"):
+        OpenLoopWorkload(
+            cluster, rate_ops_per_s=10, op="mixed",
+            read_fraction=read_fraction,
+        )
+
+
+@pytest.mark.parametrize("op_size", [0, -5])
+def test_nonpositive_op_size_is_rejected(op_size):
+    # 0 used to issue zero-length requests; -5 failed deep in the
+    # address layer instead of at construction.
+    cluster = build_cluster(small_config(n=4), architecture="raidx")
+    with pytest.raises(ValueError, match="op_size"):
+        OpenLoopWorkload(cluster, rate_ops_per_s=10, op_size=op_size)
+
+
+@pytest.mark.parametrize("read_fraction", [0.0, 1.0])
+def test_read_fraction_bounds_are_accepted(read_fraction):
+    r = make(op="mixed", read_fraction=read_fraction, n_requests=20,
+             duration_s=None).run()
+    assert r.completed == 20 and r.failed == 0
+
+
+def test_op_size_above_block_size_is_clamped():
+    bs = build_cluster(small_config(n=4), architecture="raidx").storage.block_size
+    one = make(op_size=bs, n_requests=20, duration_s=None).run()
+    four = make(op_size=4 * bs, n_requests=20, duration_s=None).run()
+    assert four.completed == 20
+    assert four.histogram.to_payload() == one.histogram.to_payload()
+
+
 def test_deterministic_with_seed():
     a = make(seed=7, exact_latencies=True).run()
     b = make(seed=7, exact_latencies=True).run()
