@@ -21,6 +21,9 @@ Pure-kernel scenarios (no device models):
   link via ``yield cpu.busy(s)``: the bandwidth-link wait behind every
   protocol-CPU, driver-entry, memcpy, XOR, SCSI and NIC hop (a link
   hold, resumed inline like a numeric sleep).
+* ``spawn_join``      — waves of short child processes started with
+  ``process_many`` and joined by ``all_of``: the fan-out behind every
+  multi-piece request and every per-piece process of the engine.
 
 Device scenarios (kernel + the callback-driven disk server of
 :mod:`repro.hardware.disk`):
@@ -29,6 +32,9 @@ Device scenarios (kernel + the callback-driven disk server of
   front, drained back to back: the pure server hot path.
 * ``mirror_flush``    — waves of bulk background (priority 1) writes,
   the RAID-x OSM image-flush pattern, spawned via ``schedule_many``.
+* ``message_hop``     — sequential 128-byte ``Transport.message`` calls
+  between two nodes: protocol CPU, NIC TX, switch, NIC RX, protocol
+  CPU — the five pops of every CDD request and reply.
 
 Run standalone::
 
@@ -127,6 +133,34 @@ def link_chain(processes: int = 100, holds: int = 2_000) -> int:
     return processes * (holds + 2)
 
 
+#: Children per ``spawn_join`` wave (fixed, so ``--scale`` shrinks the
+#: wave count, not the fan-out).
+SPAWN_FANOUT = 32
+
+
+def spawn_join(waves: int = 2_000) -> int:
+    """W waves of 32 one-sleep children, each wave joined by ``all_of``."""
+    env = Environment()
+    fanout = SPAWN_FANOUT
+
+    def child(dt):
+        yield dt
+
+    def parent():
+        for w in range(waves):
+            yield env.all_of(
+                env.process_many(
+                    child(1e-4 * (1.0 + j * 1e-3)) for j in range(fanout)
+                )
+            )
+
+    env.process(parent())
+    env.run()
+    # Per wave: F Initialize + F sleeps + F terminations + the AllOf;
+    # plus the parent's Initialize and termination.
+    return env.processed_events
+
+
 def disk_drain(requests: int = 8_000) -> int:
     """Drain a deep FIFO backlog on one disk, queued before t=0.
 
@@ -189,13 +223,39 @@ def mirror_flush(flushes: int = 6_400) -> int:
     return 3 * waves * batch
 
 
+def message_hop(messages: int = 40_000) -> int:
+    """One process sends M sequential 128-byte messages, node 0 to 1."""
+    from repro.cluster.message import MessageKind
+    from repro.cluster.transport import Transport
+    from repro.config import trojans_cluster
+    from repro.hardware.network import Network
+    from repro.hardware.node import Node
+
+    cfg = trojans_cluster(n=2)
+    env = Environment()
+    nodes = [Node(env, cfg, i, [i]) for i in range(2)]
+    message = Transport(env, Network(env, 2, cfg.network), nodes, cfg).message
+
+    def sender():
+        for i in range(messages):
+            yield from message(MessageKind.READ_REQ, i & 1, 1 - (i & 1), 128)
+
+    env.process(sender())
+    env.run()
+    # Five pops per message (CPU, TX, switch, RX, CPU) plus the
+    # sender's Initialize and termination.
+    return env.processed_events
+
+
 SCENARIOS: Dict[str, Callable[..., int]] = {
     "timeout_chain": timeout_chain,
     "sleep_chain": sleep_chain,
     "event_relay": event_relay,
     "link_chain": link_chain,
+    "spawn_join": spawn_join,
     "disk_drain": disk_drain,
     "mirror_flush": mirror_flush,
+    "message_hop": message_hop,
 }
 
 

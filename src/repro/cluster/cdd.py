@@ -71,17 +71,6 @@ class CooperativeDiskDriver:
         return disk % len(self.nodes)
 
     # -- client module -----------------------------------------------------
-    def _driver_entry(self, node: Node, trace):
-        """Charge (and trace) one kernel driver entry on ``node``."""
-        tracer = _obs.TRACER
-        t0 = node.env.now
-        yield node.cpu.driver_entry(kernel_level=True)
-        if tracer.enabled:
-            tracer.record(
-                CPU_DRIVER, f"node{node.node_id}.cpu", t0, node.env.now,
-                trace=trace,
-            )
-
     def block_io(
         self, op: str, disk: int, offset: int, nbytes: int, priority: int = 0,
         trace=None, ctx: PieceContext | None = None,
@@ -99,43 +88,40 @@ class CooperativeDiskDriver:
         if trace is None and ctx is not None:
             trace = ctx.trace
         self.issued_ops += 1
-        owner = self.owner_of(disk)
-        me = self.node_id
+        node = self.node
+        me = node.node_id
+        owner = disk % len(self.nodes)  # owner_of(disk)
+        transport = self.transport
         if owner == me:
-            self.transport.stats.local_block_ops += 1
-            yield from self._driver_entry(self.node, trace)
-            yield from self.node.disk_io(
+            transport.stats.local_block_ops += 1
+        else:
+            transport.stats.remote_block_ops += 1
+        # The kernel driver entry on this node, local and remote alike.
+        tracer = _obs.TRACER
+        t0 = node.env._now
+        yield node.cpu.driver_entry()
+        if tracer.enabled:
+            tracer.record(
+                CPU_DRIVER, f"node{me}.cpu", t0, node.env._now, trace=trace,
+            )
+        if owner == me:
+            yield from node.disk_io(
                 disk, op, offset, nbytes, priority, trace=trace
             )
             return
 
         # Remote path: request message -> manager work -> reply message.
-        self.transport.stats.remote_block_ops += 1
-        yield from self._driver_entry(self.node, trace)
         if op == "read":
-            yield from self.transport.message(
-                MessageKind.READ_REQ, me, owner, read_request_size(),
-                trace=trace, ctx=ctx,
-            )
-            yield from self._manage(
-                owner, op, disk, offset, nbytes, priority, trace
-            )
-            yield from self.transport.message(
-                MessageKind.READ_REPLY, owner, me, read_reply_size(nbytes),
-                trace=trace, ctx=ctx,
-            )
+            req, req_size = MessageKind.READ_REQ, read_request_size()
+            rep, rep_size = MessageKind.READ_REPLY, read_reply_size(nbytes)
         else:
-            yield from self.transport.message(
-                MessageKind.WRITE_REQ, me, owner, write_request_size(nbytes),
-                trace=trace, ctx=ctx,
-            )
-            yield from self._manage(
-                owner, op, disk, offset, nbytes, priority, trace
-            )
-            yield from self.transport.message(
-                MessageKind.WRITE_ACK, owner, me, write_ack_size(),
-                trace=trace, ctx=ctx,
-            )
+            req, req_size = MessageKind.WRITE_REQ, write_request_size(nbytes)
+            rep, rep_size = MessageKind.WRITE_ACK, write_ack_size()
+        yield from transport.message(req, me, owner, req_size, trace)
+        yield from self._manage(
+            owner, op, disk, offset, nbytes, priority, trace
+        )
+        yield from transport.message(rep, owner, me, rep_size, trace)
 
     def submit(
         self, op: str, disk: int, offset: int, nbytes: int, priority: int = 0,
@@ -185,7 +171,14 @@ class CooperativeDiskDriver:
             )
             return
         manager_node = self.nodes[owner]
-        yield from self._driver_entry(manager_node, trace)
+        tracer = _obs.TRACER
+        t0 = manager_node.env._now
+        yield manager_node.cpu.driver_entry()
+        if tracer.enabled:
+            tracer.record(
+                CPU_DRIVER, f"node{manager_node.node_id}.cpu", t0,
+                manager_node.env._now, trace=trace,
+            )
         yield from manager_node.disk_io(
             disk, op, offset, nbytes, priority, trace=trace
         )

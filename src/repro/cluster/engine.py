@@ -204,21 +204,21 @@ class ExecutionEngine:
         single one.
         """
         ctx = PieceContext(trace=trace, step=pop.kind)
+        block_io = self.cluster.cdds[client].block_io
         if pop.tolerant:
 
             def body():
                 try:
-                    yield from self.cdd(client).block_io(
+                    yield from block_io(
                         pop.op, pop.disk, pop.offset, pop.nbytes,
-                        priority=pop.priority, ctx=ctx,
+                        pop.priority, ctx=ctx,
                     )
                 except DiskFailedError as e:
                     self.failed_disks.add(e.disk_id)
 
             return body()
-        return self.cdd(client).block_io(
-            pop.op, pop.disk, pop.offset, pop.nbytes,
-            priority=pop.priority, trace=None, ctx=ctx,
+        return block_io(
+            pop.op, pop.disk, pop.offset, pop.nbytes, pop.priority, ctx=ctx,
         )
 
     def _issue(self, client: int, pop: PieceOp, trace) -> Event:
@@ -516,7 +516,7 @@ class ExecutionEngine:
                 yield from self._exec_reconstruct(client, rplan, trace)
                 return
             try:
-                yield from self.cdd(client).block_io(
+                yield from self.cluster.cdds[client].block_io(
                     "read", src.disk, src.offset + piece.intra,
                     piece.nbytes, ctx=ctx,
                 )

@@ -60,7 +60,7 @@ class MessageStats:
             raise ValueError("negative message size")
         self.total_messages += 1
         self.total_bytes += nbytes
-        k = kind.value
+        k = kind._value_  # the plain attribute behind ``kind.value``
         cnt, size = self.by_kind.get(k, (0, 0.0))
         self.by_kind[k] = (cnt + 1, size + nbytes)
 

@@ -18,7 +18,6 @@ from repro.cluster.message import MessageKind, MessageStats
 from repro.config import ClusterConfig
 from repro.hardware.network import Network
 from repro.hardware.node import Node
-from repro.io.context import PieceContext
 from repro.obs import runtime as _obs
 from repro.obs.trace import CPU_PROTO
 from repro.sim.core import Environment
@@ -39,51 +38,49 @@ class Transport:
         self.nodes = nodes
         self.config = config
         self.stats = MessageStats()
+        #: Endpoint protocol CPU per message, by size (bound once: the
+        #: config is frozen).
+        self._cpu_cost = config.network.message_cpu_cost
 
     def message(self, kind: MessageKind, src: int, dst: int, nbytes: int,
-                trace=None, ctx: PieceContext | None = None):
+                trace=None):
         """Process generator: deliver one message end to end.
 
-        ``ctx`` carries the issuing plan op's execution context; the
-        trace id is resolved from it when no explicit ``trace`` is
-        given, so spans recorded on either endpoint tag themselves with
-        the originating logical request.
+        ``trace`` tags the spans recorded on either endpoint with the
+        originating logical request.
         """
-        if trace is None and ctx is not None:
-            trace = ctx.trace
         self.stats.record(kind, nbytes)
-        net = self.config.network
+        env = self.env
+        nodes = self.nodes
         tracer = _obs.TRACER
         if src == dst:
             # Kernel-internal hand-off: one memory copy, no protocol stack.
-            t0 = self.env.now
-            yield self.nodes[src].cpu.memcpy(nbytes)
+            t0 = env._now
+            yield nodes[src].cpu.memcpy(nbytes)
             if tracer.enabled:
                 tracer.record(
-                    CPU_PROTO, f"node{src}.cpu", t0, self.env.now,
+                    CPU_PROTO, f"node{src}.cpu", t0, env._now,
                     trace=trace, msg=kind.name, loopback=True,
                 )
             return
-        cost = net.message_cpu_cost(nbytes)
-        t0 = self.env.now
-        yield self.nodes[src].cpu.busy(cost)
+        cost = self._cpu_cost(nbytes)
+        t0 = env._now
+        yield nodes[src].cpu.busy(cost)
         if tracer.enabled:
             tracer.record(
-                CPU_PROTO, f"node{src}.cpu", t0, self.env.now,
+                CPU_PROTO, f"node{src}.cpu", t0, env._now,
                 trace=trace, msg=kind.name,
             )
         yield from self.network.send(src, dst, nbytes, trace=trace)
-        t1 = self.env.now
-        yield self.nodes[dst].cpu.busy(cost)
+        t1 = env._now
+        yield nodes[dst].cpu.busy(cost)
         if tracer.enabled:
             tracer.record(
-                CPU_PROTO, f"node{dst}.cpu", t1, self.env.now,
+                CPU_PROTO, f"node{dst}.cpu", t1, env._now,
                 trace=trace, msg=kind.name,
             )
 
     def send(self, kind: MessageKind, src: int, dst: int, nbytes: int,
-             trace=None, ctx: PieceContext | None = None):
+             trace=None):
         """Run :meth:`message` as a background process; returns its event."""
-        return self.env.process(
-            self.message(kind, src, dst, nbytes, trace, ctx)
-        )
+        return self.env.process(self.message(kind, src, dst, nbytes, trace))

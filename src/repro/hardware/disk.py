@@ -168,16 +168,11 @@ class Disk:
         becomes) failed before the request is served.  ``trace`` tags the
         op's queue-wait/service spans with a logical request's trace id.
         """
+        env = self.env
         req = DiskRequest(
-            op=op,
-            offset=offset,
-            nbytes=nbytes,
-            done=self.env.event(),
-            submitted_at=self.env.now,
-            priority=priority,
-            trace=trace,
+            op, offset, nbytes, Event(env), env._now, priority, trace
         )
-        req.validate(self.capacity)
+        req.validate(self._ff_cap)
         if self.failed:
             req.done.fail(DiskFailedError(self.disk_id))
             return req.done
@@ -188,7 +183,7 @@ class Disk:
             # Wake the parked server: arm the marker at now.
             self._ff_parked = False
             self._ff_wake_req = req
-            self.env.schedule(self._ff_marker)
+            env.schedule(self._ff_marker)
         else:
             self._ff_items.append(req)
         return req.done

@@ -62,40 +62,50 @@ class Network:
         (src == dst) is free at this layer — memory copies are charged
         by the transport.  ``trace`` tags the recorded NIC tx/rx spans.
         """
-        if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
+        nics = self.nics
+        n = len(nics)
+        if not (0 <= src < n and 0 <= dst < n):
             raise ConfigurationError(
-                f"bad endpoints {src}->{dst} on {self.n_nodes} nodes"
+                f"bad endpoints {src}->{dst} on {n} nodes"
             )
+        # Checked before anything is counted: a rejected send moves
+        # nothing.
+        if nbytes < 0:
+            raise ValueError("nbytes must be non-negative")
         self.messages += 1
         if src == dst:
             return
             yield  # pragma: no cover - makes this a generator
         self.bytes_switched += nbytes
-        mtu = self.params.mtu_bytes
+        params = self.params
+        mtu = params.mtu_bytes
         tracer = _obs.TRACER
         env = self.env
-        tx_start = env.now
+        tx_start = env._now
         tx_end = tx_start
         rx_start = None
-        rx = self.nics[dst].rx
+        tx = nics[src].tx
+        rx = nics[dst].rx
         self._flow_enter(src, dst)
         try:
             pos = 0
             first = True
             while True:
-                frag = min(mtu, nbytes - pos)
-                yield self.nics[src].send_occupancy(frag)
-                tx_end = env.now
+                frag = nbytes - pos
+                if frag >= mtu:  # min(mtu, nbytes - pos)
+                    frag = mtu
+                yield tx.hold(frag)
+                tx_end = env._now
                 if first:
                     # Switch forwarding latency, paid once up front;
                     # later fragments ride the full pipeline.
-                    yield self.params.switch_latency_s
+                    yield params.switch_latency_s
                     first = False
                 # RX occupancy; ``stretch`` is the incast slowdown
                 # (fraction of base time) at the receive port.
                 stretch = self._incast_stretch(src, dst)
                 if rx_start is None:
-                    rx_start = env.now
+                    rx_start = env._now
                 pos += frag
                 if pos >= nbytes:
                     # The last byte lands with the final fragment.
@@ -107,7 +117,7 @@ class Network:
             if tracer.enabled:
                 tracer.record(
                     NET_TX,
-                    self.nics[src].track_tx,
+                    nics[src].track_tx,
                     tx_start,
                     tx_end,
                     trace=trace,
@@ -116,9 +126,9 @@ class Network:
                 )
                 tracer.record(
                     NET_RX,
-                    self.nics[dst].track_rx,
-                    rx_start if rx_start is not None else env.now,
-                    env.now,
+                    nics[dst].track_rx,
+                    rx_start if rx_start is not None else env._now,
+                    env._now,
                     trace=trace,
                     nbytes=nbytes,
                     src=src,

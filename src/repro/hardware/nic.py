@@ -13,7 +13,9 @@ class Nic:
     Fast Ethernet is full duplex through a switch, so the TX and RX
     directions serialize independently.  The switch fabric adds latency;
     endpoint protocol CPU is charged by the :class:`~repro.hardware.cpu.Cpu`
-    model at a higher layer.
+    model at a higher layer.  The fabric
+    (:meth:`repro.hardware.network.Network.send`) books ``tx`` and ``rx``
+    per fragment.
     """
 
     def __init__(
@@ -35,14 +37,6 @@ class Nic:
         #: process group in the exported trace (see repro.obs.export).
         self.track_tx = f"node{node_id}.nic.tx"
         self.track_rx = f"node{node_id}.nic.rx"
-
-    def send_occupancy(self, nbytes: float) -> float:
-        """Occupy the TX path for ``nbytes``: a link hold, yielded at once.
-
-        (The RX path is reserved by the fabric directly, per fragment:
-        see :meth:`repro.hardware.network.Network.send`.)
-        """
-        return self.tx.hold(nbytes)
 
     @property
     def bytes_sent(self) -> float:

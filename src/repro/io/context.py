@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class PieceContext:
     """Context travelling with one physical block operation."""
 

@@ -18,6 +18,10 @@ through ``run``'s event loop, so this module is written for throughput
   event per process, and the run loop resumes it *inline* — no
   callback dispatch, no ``_resume`` frame — re-arming the same event
   with ``heappushpop`` (one heap sift per sleep instead of two);
+* a process starts through that same sleep event: armed urgent at
+  spawn, it is the process's *Initialize* pop, resumed inline — a
+  spawn allocates one kernel event, and the first ``yield dt`` re-arms
+  it;
 * bandwidth-link waits (every CPU, SCSI and NIC hop) are such sleeps:
   ``yield link.hold(n)`` tags the process's ``_Sleep`` with the link,
   and the inline resume releases the link's ``outstanding`` count
@@ -54,6 +58,7 @@ from __future__ import annotations
 from heapq import heapify, heappush, heappop, heappushpop
 from itertools import count
 from sys import getrefcount
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.sim.events import (
@@ -63,7 +68,6 @@ from repro.sim.events import (
     _URGENT,
     AllOf,
     Event,
-    Initialize,
     Timeout,
 )
 
@@ -91,12 +95,27 @@ class _Sleep(Event):
     ``link`` is the ``BandwidthLink`` a hold tagged this sleep with (or
     ``None``); both dispatch paths release its ``outstanding`` when the
     entry pops, before resuming (DESIGN §6.19).
+
+    Built with its process, born triggered (value ``None``): queued
+    urgent at spawn, its first pop starts the generator (the process's
+    *Initialize* pop); every later numeric yield or link hold re-arms
+    it.
     """
 
     __slots__ = ("process", "generator", "link")
     process: "Process"
     generator: Generator
     link: Any  # Optional[BandwidthLink] (repro.sim.shared imports core)
+
+    def __init__(self, process: "Process"):
+        self.env = process.env
+        self.callbacks = [process._wake]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.process = process
+        self.generator = process._generator
+        self.link = None
 
 
 class Recurring(Event):
@@ -211,8 +230,8 @@ class Environment:
         """Bulk-start processes with one batched heap insertion.
 
         Equivalent to ``[self.process(g) for g in generators]`` — the
-        deferred ``Initialize`` events receive the same urgent keys in
-        the same order — but a large batch lands through
+        deferred start events receive the same urgent keys in the same
+        order — but a large batch lands through
         :meth:`schedule_many`'s single ``heapify`` instead of one heap
         sift per process.
         """
@@ -221,9 +240,7 @@ class Environment:
         for g in generators:
             p = Process(self, g, defer_init=True)
             procs.append(p)
-            target = p._target
-            if target is not None:  # always true for a fresh process
-                inits.append(target)
+            inits.append(p._target)
         self.schedule_many(inits, priority=_URGENT)
         return procs
 
@@ -236,6 +253,8 @@ class Environment:
         self, event: Event, priority: int = _NORMAL, delay: float = 0.0
     ) -> None:
         """Queue ``event`` for processing ``delay`` time units from now."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         key = next(self._seq)
         if priority != _NORMAL:
             key -= _KEY_OFFSET
@@ -259,6 +278,8 @@ class Environment:
 
         Returns the number of events queued.
         """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         seq = self._seq
         at = self._now + delay
         if priority != _NORMAL:
@@ -290,7 +311,7 @@ class Environment:
         except IndexError:
             raise EmptySchedule() from None
         self.processed_events += 1
-        if isinstance(event, _Sleep) and event.link is not None:
+        if event.__class__ is _Sleep and event.link is not None:
             event.link.outstanding -= 1
             event.link = None
 
@@ -483,7 +504,7 @@ class Process(Event):
     other simply by yielding them.
     """
 
-    __slots__ = ("_generator", "_target", "_wake", "_sleep", "_sleep_cbs")
+    __slots__ = ("_generator", "_target", "_wake", "_sleep")
 
     def __init__(
         self,
@@ -492,21 +513,35 @@ class Process(Event):
         *,
         defer_init: bool = False,
     ):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        # A native generator passes on its type alone; anything else
+        # must at least quack like one.
+        if generator.__class__ is not GeneratorType and not (
+            hasattr(generator, "send") and hasattr(generator, "throw")
+        ):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # Flat Event initialization: one process per spawned piece, so
+        # the Event.__init__ frame is skipped.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
-        # Pre-bind _resume once: parking at a yield otherwise pays a
-        # bound-method allocation every time (Initialize reuses it too).
+        # Bind _resume once: every wakeup list this process joins (its
+        # sleep event, each event it parks on) holds this one bound
+        # method instead of allocating a new one.
         self._wake = self._resume
-        # Reusable sleep event for numeric yields (created on first use).
-        self._sleep: Optional[_Sleep] = None
-        self._sleep_cbs: Optional[list] = None
-        # defer_init builds the Initialize unscheduled; the caller
-        # (Environment.process_many) bulk-queues it.
-        self._target: Optional[Event] = Initialize(
-            env, self, schedule=not defer_init
-        )
+        # The reusable sleep event doubles as the start event: queued
+        # urgent now, it is the Initialize pop.  defer_init leaves it
+        # unqueued; the caller (Environment.process_many) bulk-queues
+        # it.
+        sleep = _Sleep(self)
+        self._sleep: _Sleep = sleep
+        self._target: Optional[Event] = sleep
+        if not defer_init:
+            heappush(
+                env._queue, (env._now, next(env._seq) - _KEY_OFFSET, sleep)
+            )
 
     @property
     def is_alive(self) -> bool:
@@ -547,15 +582,13 @@ class Process(Event):
                     # per-process sleep event instead of allocating a
                     # Timeout + callbacks list + bound method per wait.
                     if next_event >= 0:
+                        # Free for reuse: only the event a process
+                        # waits on resumes it, so its sleep is off the
+                        # heap.
                         sleep = self._sleep
-                        if sleep is not None:
-                            # Free for reuse: only the event a process
-                            # waits on resumes it, so its sleep is off
-                            # the heap; restore the callbacks list
-                            # step() may have cleared.
-                            sleep.callbacks = self._sleep_cbs
-                        else:
-                            sleep = self._hold_sleep()
+                        if sleep.callbacks is None:
+                            # step() processed it: restore the wakeup.
+                            sleep.callbacks = [self._wake]
                         heappush(
                             env._queue,
                             (env._now + next_event, next(env._seq), sleep),
@@ -620,33 +653,18 @@ class Process(Event):
         else:
             self._resume(next_event)  # already processed: deliver now
 
-    def _hold_sleep(self) -> _Sleep:
-        """The reusable sleep the next numeric yield arms (created on
-        first use, so ``BandwidthLink.hold`` can tag it before)."""
-        sleep = self._sleep
-        if sleep is None:
-            sleep = self._sleep = _Sleep(self.env)
-            sleep._ok = True
-            sleep._value = None
-            sleep.process = self
-            sleep.generator = self._generator
-            sleep.link = None
-            cbs = self._sleep_cbs = sleep.callbacks
-            cbs.append(self._wake)
-        return sleep
-
     def _finish(self, value: Any) -> None:
         # Drop the self-references (the bound ``_wake``, and the sleep
         # whose ``process`` points back here) so reference counting
         # frees a finished process instead of the cyclic collector.
-        self._target = self._wake = self._sleep = self._sleep_cbs = None
+        self._target = self._wake = self._sleep = None
         self._ok = True
         self._value = value
         env = self.env
         heappush(env._queue, (env._now, next(env._seq), self))
 
     def _fail_out(self, exc: BaseException) -> None:
-        self._target = self._wake = self._sleep = self._sleep_cbs = None
+        self._target = self._wake = self._sleep = None
         tb = exc.__traceback__
         if tb is not None:
             # Start the traceback at the generator: the kernel frame that

@@ -12,7 +12,7 @@ from heapq import heappush
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.sim.core import Environment, Process
+    from repro.sim.core import Environment
 
 
 #: Sentinel distinguishing "not yet triggered" from a ``None`` value.
@@ -172,23 +172,30 @@ class AllOf(Event):
     __slots__ = ("_events", "_count")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._events = evs = list(events)
         self._count = 0
 
-        for event in self._events:
+        for event in evs:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
 
-        if not self._events:
+        if not evs:
             self.succeed(ConditionValue())
             return
 
-        for event in self._events:
-            if event.callbacks is None:  # already processed
-                self._check(event)
+        # One bound method shared by every member's callbacks list.
+        check = self._check
+        for event in evs:
+            callbacks = event.callbacks
+            if callbacks is None:  # already processed
+                check(event)
             else:
-                event.callbacks.append(self._check)
+                callbacks.append(check)
 
     def _collect_values(self) -> ConditionValue:
         value = ConditionValue()
@@ -200,46 +207,21 @@ class AllOf(Event):
         return value
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             if not event._ok:
                 # The condition has already fired; swallow stragglers'
                 # failures so they do not crash the run unhandled.
-                event.defused()
+                event._defused = True
             return
         self._count += 1
         if not event._ok:
-            event.defused()
+            event._defused = True
             self.fail(event._value)
         elif self._count == len(self._events):
             self.succeed(self._collect_values())
 
 
-class Initialize(Event):
-    """Internal: kicks a newly created process at the current time.
-
-    With ``schedule=False`` the event is built triggered but *not*
-    queued — :meth:`repro.sim.core.Environment.process_many` collects
-    such deferred initializers and bulk-inserts them (urgent priority,
-    sequence keys in creation order) via ``schedule_many``.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self, env: "Environment", process: "Process", schedule: bool = True
-    ):
-        self.env = env
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        if schedule:
-            heappush(
-                env._queue, (env._now, next(env._seq) - _KEY_OFFSET, self)
-            )
-
-
-#: Scheduling priorities: urgent events (process init) run
+#: Scheduling priorities: urgent events (process starts) run
 #: before normal events scheduled at the same simulated time.  In heap
 #: entries ``(time, key, event)`` the priority is fused into the
 #: sequence key: normal events use the bare sequence number, urgent

@@ -53,7 +53,8 @@ class BandwidthLink:
             raise ValueError("nbytes must be non-negative")
         if stretch < 0:
             raise ValueError("stretch must be non-negative")
-        start = max(at, self._free_at)
+        free_at = self._free_at
+        start = free_at if free_at > at else at  # max(at, free_at)
         duration = nbytes / self.rate
         if stretch:
             extra = duration * stretch
@@ -74,7 +75,7 @@ class BandwidthLink:
         process = env._active_process
         if process is None:
             raise RuntimeError("BandwidthLink.hold() outside a process")
-        sleep = process._hold_sleep()
+        sleep = process._sleep
         if sleep.link is not None:
             raise RuntimeError(
                 "BandwidthLink.hold() before the previous hold was yielded"

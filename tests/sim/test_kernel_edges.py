@@ -141,3 +141,24 @@ def test_two_environments_are_isolated():
     assert hits == ["a"]
     b.run()
     assert hits == ["a", "b"]
+
+
+@pytest.mark.parametrize("bulk", [False, True], ids=["schedule", "many"])
+def test_negative_schedule_delay_rejected(env, bulk):
+    """A negative delay would pop in the past and move the clock back;
+    both scheduling entry points reject it, as ``timeout()`` does,
+    before drawing a sequence key."""
+    env.run(until=5.0)
+    ev = env.event()
+    ev._ok, ev._value = True, None
+    key_before = next(env._seq)
+    with pytest.raises(ValueError, match="negative delay"):
+        if bulk:
+            env.schedule_many([ev], delay=-2.0)
+        else:
+            env.schedule(ev, delay=-2.0)
+    assert next(env._seq) == key_before + 1  # no key drawn
+    assert len(env) == 0
+    env.run()
+    assert env.now == 5.0
+    assert not ev.processed
