@@ -50,7 +50,7 @@ def _run(
     node_ff, arch="raidx", traced=False, sample=1.0, capacity=64,
     mode="writeback", ops=None,
 ):
-    """One cached run; returns (signature, span sha) for diffing.
+    """One cached run; returns (signature, span sha, heap pops).
 
     ``ops`` is a list of (op, client, block, nbytes, gap_s) steps; a
     zero gap submits the next request at the same instant — the regime
@@ -110,7 +110,7 @@ def _run(
     sha = hashlib.sha256(
         json.dumps(spans, sort_keys=True).encode()
     ).hexdigest()
-    return sig, sha
+    return sig, sha, env.processed_events
 
 
 def _seeded_ops(seed, span_range, steps=50, bs=32 * 1024, n=4):
@@ -135,8 +135,8 @@ def _seeded_ops(seed, span_range, steps=50, bs=32 * 1024, n=4):
 
 
 def _assert_identical(**kw):
-    phase_sig, phase_sha = _run(False, **kw)
-    ff_sig, ff_sha = _run(True, **kw)
+    phase_sig, phase_sha, _ = _run(False, **kw)
+    ff_sig, ff_sha, _ = _run(True, **kw)
     for key in phase_sig:
         assert ff_sig[key] == phase_sig[key], key
     assert ff_sha == phase_sha
