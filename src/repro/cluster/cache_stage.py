@@ -27,8 +27,7 @@ execution, event-for-event identical to the pre-cache engine.
 
 from __future__ import annotations
 
-from heapq import heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.cache import (
     BlockCache,
@@ -40,119 +39,89 @@ from repro.cache import (
 from repro.cache.block import BlockState
 from repro.cache.destage import DestageRun, coalesce_runs
 from repro.cluster.message import ACK_BYTES, MessageKind
-from repro.errors import DataLossError, DiskFailedError
+from repro.errors import DataLossError, DiskFailedError, ReproError
+from repro.hardware.node import LocalReadChain
 from repro.obs import runtime as _obs
-from repro.obs.trace import (
-    CACHE_DESTAGE,
-    CACHE_LOOKUP,
-    CPU_DRIVER,
-    REQUEST,
-    SCSI_TRANSFER,
-)
+from repro.obs.trace import CACHE_DESTAGE, CACHE_LOOKUP, REQUEST
 from repro.raid.plan import WriteContext, split_into_blocks
-from repro.sim.events import _KEY_OFFSET, Event
+from repro.sim.events import Event, PopScript
 
 
-class _FFCacheHit(Event):
-    """Three-pop closed-form replay of :meth:`CacheStage.run_request`
-    for an all-resident request (DESIGN §6.18).
+class _FFCacheHit(PopScript):
+    """Two-pop closed-form replay of :meth:`CacheStage.run_request` for
+    an all-resident request (DESIGN §6.18).
 
     The eager half (:meth:`CacheStage._fast_hit`) performs the
     Initialize-pop mutations — recency/stats lookups or write
     admissions, the ``_active`` bracket, the CPU memcpy claim — at
-    submit time; this event then occupies the same pop positions the
-    phase request would.  An urgent pop at submit time stands in for
-    the request process's ``Initialize`` (the trace id allocates there,
-    in submit order, and the memcpy hold's heap key is drawn there
-    too); a normal pop at the priced memcpy completion time stands in
-    for the hold's pop (peer invalidations go out, the cache/request
-    spans record, bytes account, and the destage decision replays); and
-    ``done``'s own pop stands in for the request Process pop the
-    workload resumes on.  Every heap-key allocation lands at the exact
-    sequence position the phase path would draw it, so same-time ties
-    break identically.
+    submit time; this script then occupies the pops the phase request
+    would: the request ``Initialize`` (urgent, at submit: the trace id
+    allocates and the memcpy hold's key is drawn) and the memcpy hold's
+    pop (the request generator runs to completion).  ``done``'s own pop
+    stands in for the request ``Process`` pop the workload resumes on.
     """
 
     __slots__ = (
-        "stage_ref", "client", "op", "offset", "nbytes", "t0", "t1",
-        "stage", "trace", "done", "hits", "dirtied", "absorbed", "blocks",
+        "cache", "client", "op", "offset", "nbytes", "t0", "t1", "trace",
+        "done", "pieces", "dirtied", "absorbed",
     )
 
     def __init__(
-        self, stage: "CacheStage", client: int, op: str,
-        offset: int, nbytes: int, t1: float,
+        self, cache: "CacheStage", client: int, op: str, offset: int,
+        nbytes: int, t1: float, pieces, dirtied: int, absorbed: int,
     ):
-        env = stage.env
-        self.env = env
-        self.callbacks: Optional[list] = [self._fire]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        self.stage_ref = stage
+        env = cache.env
+        super().__init__(env)
+        self.cache = cache
         self.client = client
         self.op = op
         self.offset = offset
         self.nbytes = nbytes
-        self.t0 = env.now
+        self.t0 = env._now
         self.t1 = t1
-        self.stage = 0
         self.trace: Optional[int] = None
         #: The completion event handed to the workload (≡ the phase
         #: request's Process event).
         self.done = Event(env)
-        self.hits = 0
-        self.dirtied = 0
-        self.absorbed = 0
-        self.blocks: Tuple[int, ...] = ()
-        # Urgent at submit time: the request Initialize's pop slot.
-        heappush(env._queue, (self.t0, next(env._seq) - _KEY_OFFSET, self))
+        self.pieces = pieces
+        self.dirtied = dirtied
+        self.absorbed = absorbed
+        self.urgent()
 
-    def _fire(self, _event: Event) -> None:
-        env = self.env
-        st = self.stage_ref
-        if self.stage == 0:
-            # ≡ request Initialize pop: the body starts — trace id
-            # allocates, then the memcpy claim's hold draws a normal
-            # key at t1.
-            self.stage = 1
-            self.callbacks = [self._fire]
-            tracer = _obs.TRACER
-            self.trace = tracer.new_trace() if tracer.enabled else None
-            heappush(env._queue, (self.t1, next(env._seq), self))
-            return
-        # ≡ memcpy hold pop: the request generator resumes and runs
-        # to completion — same actions, same order.
-        client = self.client
+    def _request_init(self, _event: Event) -> None:
+        # ≡ request Initialize pop: the trace id allocates, then the
+        # memcpy hold draws its normal key at t1.
+        tracer = _obs.TRACER
+        self.trace = tracer.new_trace() if tracer.enabled else None
+        self.at(self.t1)
+
+    def _memcpy_hold(self, _event: Event) -> None:
+        # ≡ memcpy hold pop: the request generator resumes and runs to
+        # completion — same actions, same order.
+        st = self.cache
         tracer = _obs.TRACER
         if self.op == "read":
             if tracer.enabled:
                 tracer.record(
-                    CACHE_LOOKUP, f"node{client}.cache", self.t0, env.now,
-                    trace=self.trace, op="read", hits=self.hits, misses=0,
+                    CACHE_LOOKUP, f"node{self.client}.cache", self.t0,
+                    self.env._now, trace=self.trace, op="read",
+                    hits=len(self.pieces), misses=0,
                 )
-            st.engine.system.bytes_read += self.nbytes
         else:
-            st._invalidate_peers(client, list(self.blocks))
+            st._invalidate_peers(self.client, [p[0] for p in self.pieces])
             if tracer.enabled:
                 tracer.record(
-                    CACHE_LOOKUP, f"node{client}.cache", self.t0, env.now,
-                    trace=self.trace, op="write", dirtied=self.dirtied,
-                    absorbed=self.absorbed, fills=0,
+                    CACHE_LOOKUP, f"node{self.client}.cache", self.t0,
+                    self.env._now, trace=self.trace, op="write",
+                    dirtied=self.dirtied, absorbed=self.absorbed, fills=0,
                 )
-            st.engine.system.bytes_written += self.nbytes
-        st._active -= 1
-        if tracer.enabled:
-            tracer.record(
-                REQUEST, f"node{client}.request", self.t0, env.now,
-                trace=self.trace, op=self.op, offset=self.offset,
-                nbytes=self.nbytes, arch=st.engine.system.name,
-            )
-        st._maybe_destage(client, self.trace)
-        self.done.succeed()
+        st._ff_finish(self)
+
+    STAGES = (_request_init, _memcpy_hold)
 
 
-class _FFFillRun(Event):
-    """Full pop-chain replay of a fast-forwarded clean-miss fill.
+class _FFFill(LocalReadChain):
+    """The local-read chain of a fast-forwarded clean-miss fill.
 
     The hit fast path may claim its memcpy eagerly at submit because
     the phase twin claims at the request-Initialize pop — the very next
@@ -168,202 +137,139 @@ class _FFFillRun(Event):
     same-time completion ties against concurrently finishing phase
     requests.
 
-    This stepper therefore occupies the phase twin's pop positions one
-    by one, performing each pop's observable actions with the priced
-    closed-form times (stage number ≡ pop):
-
-    0. request Initialize (urgent, submit instant) — trace id, miss and
-       fill-op counters, the ``_active`` bracket; push stage 1 urgent.
-    1. piece Initialize (urgent, submit instant) — issue counters; the
-       CPU and SCSI claims land here, behind every same-instant memcpy
-       claim the phase path orders first; the CPU hold's normal key
-       at ``t1`` is drawn here.
-    2. CPU hold pop (``t1``) — driver-entry span records; the SCSI
-       hold's key at ``t2`` is drawn.
-    3. SCSI hold pop (``t2``) — bus span records; ``disk.submit``'s
-       wake-marker push replays (one normal key at now).
-    4. dispatch-wake pop (``t2``) — :meth:`Disk.ff_preload` prices and
-       arms the completion marker, drawing its key exactly where the
-       phase path's run loop re-arms it.
-    5. fill-read completion pop (``t3``, the preloaded request's
-       ``done``) — the piece process would finish; one normal push.
-    6. piece Process pop — the AllOf condition fires; one normal push.
-    7. AllOf pop — the request generator's epilogue: the fill installs
-       (``note_cached``), the cache/request spans record, bytes
-       account, ``_active`` releases, the destage decision replays, and
-       the workload's ``done`` proxy is succeeded (≡ the request
-       Process push).
-
-    Claiming *unconditionally* at stage 1 is legal because the only
-    pops between submit and stage 1 are same-instant Initializes of
-    later submissions, whose memcpy claims queue behind ``_free_at``
-    without invalidating any predicate; and deferring the disk preload
-    to stage 4 is legal because the stage-1 CPU and SCSI claims fence
-    the disk — every path that can reach it (local pieces, remote
-    manager work, destage write-backs) claims this node's CPU and bus
-    first, so nothing arrives before ``t2`` (DESIGN §6.18).
+    So this chain claims at its piece-Initialize stage (``_claim``)
+    and adds the dispatch-wake stage (``_dispatch``), where the disk
+    preload arms the completion marker at the phase-exact slot.  Its
+    epilogue is the cache's (DESIGN §6.18, §6.20).  A disk that fails
+    inside the window, before the bus delivers the read or during its
+    service, sends the fill through the engine's read retry
+    (:meth:`_recover`), as the phase piece's failure would.
     """
 
     __slots__ = (
-        "stage_ref", "client", "block", "offset", "nbytes", "disk",
-        "io_op", "io_offset", "io_nbytes", "priority", "stage", "done",
-        "trace", "t0", "t1", "t2",
+        "cache", "block", "disk", "io_op", "io_offset", "priority", "done",
     )
 
     def __init__(
-        self, stage: "CacheStage", client: int, block: int,
+        self, cache: "CacheStage", client: int, block: int,
         offset: int, nbytes: int, disk, io_op: str, io_offset: int,
         io_nbytes: int, priority: int,
     ):
-        env = stage.env
-        self.env = env
-        self.callbacks: Optional[list] = [self._fire]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        self.stage_ref = stage
-        self.client = client
+        super().__init__(cache.env, client, "read", offset, nbytes, io_nbytes)
+        self.cache = cache
         self.block = block
-        self.offset = offset
-        self.nbytes = nbytes
         self.disk = disk
         self.io_op = io_op
         self.io_offset = io_offset
-        self.io_nbytes = io_nbytes
         self.priority = priority
-        self.stage = 0
-        self.trace: Optional[int] = None
-        self.t0 = env.now
-        self.t1 = 0.0
-        self.t2 = 0.0
         #: The completion event handed to the workload (≡ the phase
         #: request's Process event).
-        self.done = Event(env)
+        self.done = Event(cache.env)
         # Urgent at submit time: the request Initialize's pop slot.
-        heappush(env._queue, (self.t0, next(env._seq) - _KEY_OFFSET, self))
+        self.urgent()
 
-    def _fire(self, _event: Event) -> None:
-        env = self.env
-        st = self.stage_ref
-        client = self.client
-        stage = self.stage
-        self.stage = stage + 1
-        self.callbacks = [self._fire]
+    def _request_init(self, _event: Event) -> None:
+        # ≡ request Initialize pop: the body starts — trace id
+        # allocates, the lookup misses, the fill routes into the CDD,
+        # and the piece process spawns (second urgent push).
         tracer = _obs.TRACER
-        if stage == 0:
-            # ≡ request Initialize pop: the body starts — trace id
-            # allocates, the lookup misses, the fill routes into the
-            # CDD, and the piece process spawns (second urgent push).
-            if tracer.enabled:
-                self.trace = tracer.new_trace()
-            st._active += 1
-            st.caches[client].stats.misses += 1
-            st.engine.cdd(client).cache_fill_ops += 1
-            heappush(
-                env._queue, (env._now, next(env._seq) - _KEY_OFFSET, self)
+        if tracer.enabled:
+            self.trace = tracer.new_trace()
+        st = self.cache
+        st._active += 1
+        st.caches[self.client].stats.misses += 1
+        st.engine.cdd(self.client).cache_fill_ops += 1
+        self.urgent()
+
+    def _claim(self, _event: Event) -> None:
+        # ≡ piece Initialize pop: the piece body starts — issue
+        # counters bump and the CPU/SCSI claims land at exactly this
+        # slot, behind every same-instant memcpy claim the phase path
+        # orders first.  The CPU hold's key at t1 is drawn here.
+        engine = self.cache.engine
+        cdd = engine.cdd(self.client)
+        cdd.issued_ops += 1
+        cdd.transport.stats.local_block_ops += 1
+        node = engine.cluster.nodes[self.client]
+        self.t1 = node.ff_claim_cpu(node.config.cpu.kernel_request_overhead_s)
+        self.t2 = node.ff_claim_scsi(self.t1, self.io_nbytes)
+        self.at(self.t1)
+
+    def _to_disk(self) -> None:
+        # disk.submit wakes the parked disk: one normal push at now.
+        self.at(self.env._now)
+
+    def _dispatch(self, _event: Event) -> None:
+        # ≡ dispatch-wake pop: the disk prices the read against the
+        # same head state and arms the completion marker here, so the
+        # marker's heap key is drawn at the phase slot.  Only now does
+        # the disk leave its parked state — the pending-fill veto held
+        # every later fill off the fast path for the whole deferral
+        # window, and every other route to the disk runs through the
+        # CPU and bus this fill holds until now, so the submit-time
+        # predicate must still hold unless the disk failed meanwhile.
+        self.cache._ff_fill_pending[self.client] -= 1
+        disk = self.disk
+        if disk.failed:
+            self.env.process(self._recover())
+            return
+        if not disk.ff_ready(self.io_op, self.io_offset, self.io_nbytes):
+            raise RuntimeError(
+                "deferred fill preload raced: disk "
+                f"{disk.disk_id} was touched during the claim window "
+                "(pending-fill fence broken)"
             )
-        elif stage == 1:
-            # ≡ piece Initialize pop: the piece body starts — issue
-            # counters bump and the CPU/SCSI claims land at exactly
-            # this slot, behind every same-instant memcpy claim the
-            # phase path orders first.  The push at t1 draws the CPU
-            # hold's key.
-            engine = st.engine
-            cdd = engine.cdd(client)
-            cdd.issued_ops += 1
-            cdd.transport.stats.local_block_ops += 1
-            node = engine.cluster.nodes[client]
-            self.t1 = node.ff_claim_cpu(
-                node.config.cpu.kernel_request_overhead_s
-            )
-            self.t2 = node.ff_claim_scsi(self.t1, self.io_nbytes)
-            heappush(env._queue, (self.t1, next(env._seq), self))
-        elif stage == 2:
-            # ≡ CPU hold pop: the driver-entry span records; the
-            # SCSI hold's key at t2 is drawn.
-            if tracer.enabled:
-                tracer.record(
-                    CPU_DRIVER, f"node{client}.cpu", self.t0, self.t1,
-                    trace=self.trace,
-                )
-            heappush(env._queue, (self.t2, next(env._seq), self))
-        elif stage == 3:
-            # ≡ SCSI hold pop: the bus span records, then the piece
-            # submits to the parked disk — one wake-marker push at now.
-            if tracer.enabled:
-                tracer.record(
-                    SCSI_TRANSFER, f"node{client}.scsi", self.t1, self.t2,
-                    trace=self.trace, nbytes=self.io_nbytes,
-                )
-            if self.disk.failed:
-                # ≡ disk.submit failing the request at this pop; the
-                # stepper folds the phase path's failure unwind into
-                # one hop before failing the workload's proxy.
-                self.stage = 8
-                heappush(env._queue, (env._now, next(env._seq), self))
-                return
-            heappush(env._queue, (env._now, next(env._seq), self))
-        elif stage == 4:
-            # ≡ dispatch-wake pop: the disk prices the read against the
-            # same head state and arms the completion marker here, so
-            # the marker's heap key is drawn at the phase slot.  Only
-            # now does the disk leave its parked state — the pending
-            # -fill veto held every later fill off the fast path for
-            # the whole deferral window, and every other route to the
-            # disk runs through the CPU and bus this fill holds until
-            # now, so the submit-time predicate must still hold.
-            if not self.disk.ff_ready(
-                self.io_op, self.io_offset, self.io_nbytes
-            ):
-                raise RuntimeError(
-                    "deferred fill preload raced: disk "
-                    f"{self.disk.disk_id} was touched during the "
-                    "claim window (pending-fill fence broken)"
-                )
-            done = self.disk.ff_preload(
-                self.io_op, self.io_offset, self.io_nbytes, env._now,
-                priority=self.priority, trace=self.trace,
-            )
-            st._ff_fill_pending[client] -= 1
-            done.callbacks.append(self._fire)
-        elif stage == 5:
-            # ≡ the fill read's completion pop: the piece process
-            # finishes (one normal push).
-            heappush(env._queue, (env._now, next(env._seq), self))
-        elif stage == 6:
-            # ≡ piece Process pop: the AllOf fires (one normal push).
-            heappush(env._queue, (env._now, next(env._seq), self))
-        elif stage == 7:
-            # ≡ AllOf pop: the request generator's epilogue — install,
-            # record, account, release, destage decision, and the
-            # request Process push the workload resumes on.
-            st.directory.note_cached(client, self.block)
-            if tracer.enabled:
-                tracer.record(
-                    CACHE_LOOKUP, f"node{client}.cache", self.t0, env.now,
-                    trace=self.trace, op="read", hits=0, misses=1,
-                )
-            st.engine.system.bytes_read += self.nbytes
-            st._active -= 1
-            if tracer.enabled:
-                tracer.record(
-                    REQUEST, f"node{client}.request", self.t0, env.now,
-                    trace=self.trace, op="read", offset=self.offset,
-                    nbytes=self.nbytes, arch=st.engine.system.name,
-                )
-            st._maybe_destage(client, self.trace)
-            self.done.succeed()
+        done = disk.ff_preload(
+            self.io_op, self.io_offset, self.io_nbytes, self.env._now,
+            priority=self.priority, trace=self.trace,
+        )
+        self.on(done)
+
+    def _read_done(self, event: Event) -> None:
+        # ≡ the fill read's completion pop, which may carry the disk's
+        # failure.
+        if event._ok:
+            self._disk_done(event)
         else:
-            # Failure unwind (from stage 3): the request epilogue's
-            # finally-clause actions, then the proxy fails.
-            st._active -= 1
-            if tracer.enabled:
-                tracer.record(
-                    REQUEST, f"node{client}.request", self.t0, env.now,
-                    trace=self.trace, op="read", offset=self.offset,
-                    nbytes=self.nbytes, arch=st.engine.system.name,
-                )
-            self.done.fail(DiskFailedError(self.disk.disk_id))
+            event.defused()
+            self.env.process(self._recover())
+
+    def _recover(self):
+        """Process generator: the fill's disk failed inside the window.
+        Re-read through the engine's retry, then end the request as
+        :meth:`CacheStage.run_request` would — installed and accounted,
+        or failed with the retry's typed error."""
+        st = self.cache
+        try:
+            yield from st.engine.reread(
+                self.client, self.offset, self.nbytes, self.trace
+            )
+        except ReproError as exc:
+            st._ff_release(self)
+            self.done.fail(exc)
+            return
+        self.epilogue()
+
+    def epilogue(self) -> None:
+        # The request generator's epilogue: install, record, account,
+        # release, destage decision, and the request Process push the
+        # workload resumes on.
+        st = self.cache
+        st.directory.note_cached(self.client, self.block)
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            tracer.record(
+                CACHE_LOOKUP, f"node{self.client}.cache", self.t0,
+                self.env._now, trace=self.trace, op="read", hits=0,
+                misses=1,
+            )
+        st._ff_finish(self)
+
+    STAGES = (
+        _request_init, _claim, LocalReadChain._cpu_hold,
+        LocalReadChain._scsi_hold, _dispatch, _read_done,
+        LocalReadChain._piece_process, LocalReadChain._allof,
+    )
 
 
 class CacheStage:
@@ -390,8 +296,8 @@ class CacheStage:
         self._active = 0
         #: One destage sweep per node at a time.
         self._destaging: List[bool] = [False] * n
-        #: Fast-forwarded fills between submit and their deferred claim
-        #: pop (at most one per client; see :class:`_FFFillRun`).
+        #: Fast-forwarded fills between submit and their deferred disk
+        #: preload (at most one per client; see :class:`_FFFill`).
         self._ff_fill_pending: List[int] = [0] * n
         #: Outstanding destage-sweep processes (drain joins these).
         self._sweeps: List[Event] = []
@@ -435,7 +341,7 @@ class CacheStage:
         * an **all-resident hit** — every piece resident (reads accept
           any state; writes need write-back mode, no fill, and headroom
           under the destage threshold): one memcpy claim plus a
-          three-pop :class:`_FFCacheHit` replay;
+          two-pop :class:`_FFCacheHit` replay;
         * a **clean single-piece read miss** — nothing dirty, no
           destage sweep in flight: the existing node fast-forward
           prices the fill read and the fill installs at completion.
@@ -521,13 +427,9 @@ class CacheStage:
             seconds = nbytes / memcpy_rate
         self._active += 1
         t1 = node.ff_claim_cpu(seconds)
-        ev = _FFCacheHit(self, client, op, offset, nbytes, t1)
-        if op == "read":
-            ev.hits = len(pieces)
-        else:
-            ev.dirtied = dirtied
-            ev.absorbed = absorbed
-            ev.blocks = tuple(p[0] for p in pieces)
+        ev = _FFCacheHit(
+            self, client, op, offset, nbytes, t1, pieces, dirtied, absorbed
+        )
         engine.fast_submits += 1
         engine.fast_hits += 1
         return ev.done
@@ -543,7 +445,7 @@ class CacheStage:
         the fill is the same single-piece local read the uncached fast
         path prices.  All predicates are checked here, claim-free; the
         claims themselves are deferred to the piece-Initialize pop slot
-        by :class:`_FFFillRun`, so same-instant later submissions keep
+        by :class:`_FFFill`, so same-instant later submissions keep
         their phase-path claim order.  At most one fill defers per
         client at a time: the disk stays *parked* until the deferred
         preload lands at the bus-delivery time, so a second fill
@@ -565,7 +467,7 @@ class CacheStage:
         if disk is None:
             return None
         self._ff_fill_pending[client] += 1
-        run = _FFFillRun(
+        run = _FFFill(
             self, client, block, offset, nbytes, disk,
             io_op, io_offset, io_nbytes, priority,
         )
@@ -596,6 +498,31 @@ class CacheStage:
                     arch=self.engine.system.name,
                 )
         self._maybe_destage(client, trace)
+
+    def _ff_finish(self, run) -> None:
+        """The tail of :meth:`run_request` at a fast-path replay's last
+        pop (``run`` is an :class:`_FFCacheHit` or an :class:`_FFFill`):
+        bytes account, the ``finally`` clause runs, the destage decision
+        replays, and the workload's event succeeds."""
+        system = self.engine.system
+        if run.op == "read":
+            system.bytes_read += run.nbytes
+        else:
+            system.bytes_written += run.nbytes
+        self._ff_release(run)
+        self._maybe_destage(run.client, run.trace)
+        run.done.succeed()
+
+    def _ff_release(self, run) -> None:
+        """:meth:`run_request`'s ``finally`` clause for a replay."""
+        self._active -= 1
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            tracer.record(
+                REQUEST, f"node{run.client}.request", run.t0, self.env.now,
+                trace=run.trace, op=run.op, offset=run.offset,
+                nbytes=run.nbytes, arch=self.engine.system.name,
+            )
 
     def _read(self, client: int, offset: int, nbytes: int, trace):
         bs = self.block_size

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import DataLossError, DiskFailedError
+from repro.errors import DataLossError, DiskFailedError, ReproError
 from repro.hardware.node import FFSpanSynth
 from repro.io.context import PieceContext
 from repro.obs import runtime as _obs
@@ -110,13 +110,19 @@ class _PhaseRelease:
 class _FastFinish:
     """Completion hook for a fast-forwarded request: the byte accounting
     that :meth:`ExecutionEngine.run`'s epilogue performs at the same
-    simulated instant on the phase path."""
+    simulated instant on the phase path.  It also names the request, so
+    a disk failure inside the priced window can hand the read to the
+    retry (:meth:`ExecutionEngine.ff_disk_failed`)."""
 
-    __slots__ = ("system", "op", "nbytes")
+    __slots__ = ("system", "client", "op", "offset", "nbytes")
 
-    def __init__(self, system, op: str, nbytes: int) -> None:
+    def __init__(
+        self, system, client: int, op: str, offset: int, nbytes: int
+    ) -> None:
         self.system = system
+        self.client = client
         self.op = op
+        self.offset = offset
         self.nbytes = nbytes
 
     def __call__(self, event: Event) -> None:
@@ -272,12 +278,11 @@ class ExecutionEngine:
         if resolved is None:
             return None
         disk, io_op, io_offset, io_nbytes, priority = resolved
-        tracer = _obs.TRACER
         synth = (
             FFSpanSynth(
-                self.env, tracer, client, op, offset, nbytes, system.name
+                self.env, client, op, offset, nbytes, io_nbytes, system.name
             )
-            if tracer.enabled
+            if _obs.TRACER.enabled
             else None
         )
         done = self.cluster.nodes[client].try_fast_forward(
@@ -289,8 +294,50 @@ class ExecutionEngine:
         cdd.issued_ops += 1
         cdd.transport.stats.local_block_ops += 1
         self.fast_submits += 1
-        done.callbacks.append(_FastFinish(system, op, nbytes))
+        done.callbacks.append(_FastFinish(system, client, op, offset, nbytes))
         return done
+
+    def ff_disk_failed(self, disk_id: int) -> None:
+        """Rescue a fast-forwarded read that ``disk_id``'s failure
+        catches inside its priced window.
+
+        The uncached fast path hands the workload the preloaded disk
+        request's own completion event, which the disk would fail.  The
+        request gets a private event instead, and a rescue process waits
+        out the disk's verdict, re-reads through :meth:`reread` as the
+        phase path's piece would, and completes the workload's event.
+        (A cached fill recovers in its own chain, ``_FFFill``.)
+        """
+        req = self.cluster.disk(disk_id)._ff_req
+        if req is None:
+            return
+        for hook in req.done.callbacks:
+            if hook.__class__ is _FastFinish and hook.op == "read":
+                done, req.done = req.done, Event(self.env)
+                self.env.process(self._ff_rescue(hook, req, done))
+                return
+
+    def _ff_rescue(self, hook: _FastFinish, req, done: Event):
+        try:
+            value = yield req.done
+        except DiskFailedError:
+            try:
+                yield from self.reread(
+                    hook.client, hook.offset, hook.nbytes, req.trace
+                )
+            except ReproError as exc:
+                done.fail(exc)
+                return
+            value = None
+        done.succeed(value)
+
+    def reread(self, client: int, offset: int, nbytes: int, trace):
+        """Process generator: the read retry of a fast-forwarded
+        single-piece read whose disk failed inside the priced window —
+        :meth:`_read_piece` from the top, which reads a surviving copy
+        or reconstructs now that the disk is in the failed set."""
+        (piece,) = self.planner.pieces_for(offset, nbytes)
+        yield from self._read_piece(client, piece, trace)
 
     def _ff_resolved(
         self, client: int, op: str, offset: int, nbytes: int

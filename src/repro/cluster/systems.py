@@ -199,10 +199,10 @@ class DistributedArraySystem(StorageSystem):
         return self.env.process(self.io(client, op, offset, nbytes))
 
     def fail_disk(self, disk: int) -> None:
-        # A failure landing inside a fast-forward window would surface
-        # at the closed-form completion time instead of at dispatch;
-        # keep every later request on the exact event-driven path.
+        # A read fast-forwarded into this disk is rescued through the
+        # read retry; every later request takes the event-driven path.
         self.node_ff = False
+        self.engine.ff_disk_failed(disk)
         super().fail_disk(disk)
 
     def drain(self):

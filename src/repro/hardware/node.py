@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from heapq import heappush
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import ClusterConfig
@@ -14,7 +13,7 @@ from repro.io.scheduler import make_scheduler
 from repro.obs import runtime as _obs
 from repro.obs.trace import CPU_DRIVER, REQUEST, SCSI_TRANSFER
 from repro.sim.core import Environment
-from repro.sim.events import _KEY_OFFSET, Event
+from repro.sim.events import Event, PopScript
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.nic import Nic
@@ -30,153 +29,151 @@ NODE_FAST_FORWARD = os.environ.get("REPRO_NODE_FF", "1").lower() not in (
 )
 
 
-class FFSpanSynth(Event):
-    """Lockstep span synthesis for one fast-forwarded request.
+class LocalReadChain(PopScript):
+    """The phase path's local piece chain, replayed pop by pop.
 
-    With tracing on, the event-driven phase path allocates its trace id
-    and records its cpu/scsi/request spans at specific *event pops*
-    whose heap keys were allocated at specific earlier pops.  The heap
-    breaks same-time ties by those keys, so the byte-identical
-    span-stream contract (the golden equivalence suites hash spans in
-    append order) is about *pop positions*, not just timestamps.
-
-    This event re-schedules itself through the exact pop positions the
-    phase path would occupy — one urgent pop at submit time matching the
-    request process's ``Initialize``, one matching the piece process's,
-    then one per hop completion — and performs the phase path's
-    observable actions (trace-id allocation, span records) at each.
-    The closed-form times priced by :meth:`Node.try_fast_forward` supply
-    the span boundaries, so timestamps are the same float expressions
-    the phase path evaluates.  DESIGN §6.15 gives the full argument.
-
-    Cost: tracing off, no synth exists; a sampled-out request spends one
-    event pop (the decision point, where the counters are fed); a
-    sampled-in request spends five pops plus a completion callback —
-    still far below the phase path's per-hop process machinery.
+    A fast-forwarded local request (a read, or a single-op write, whose
+    chain is the same) skips the phase path's request and piece
+    processes, but its spans and claims must land at the pops those
+    processes would occupy, since the heap breaks same-time ties by
+    keys drawn at earlier pops.  The chain walks them with the
+    closed-form hop times ``t0`` (submit), ``t1`` (driver entry done)
+    and ``t2`` (bus transfer done); DESIGN §6.20 has the stage table.
+    A subclass's ``STAGES`` puts its own request- and piece-Initialize
+    stages (where its claims land) in front of the shared ones, and
+    defines ``_to_disk`` (what the SCSI hold's pop schedules next) and
+    ``epilogue`` (the request's own work at the AllOf pop).
     """
 
     __slots__ = (
-        "tracer", "client", "op", "offset", "nbytes", "arch", "stage",
-        "trace", "t0", "t1", "t2", "t3", "io_nbytes", "req",
+        "client", "op", "offset", "nbytes", "io_nbytes", "trace",
+        "t0", "t1", "t2",
     )
 
     def __init__(
-        self, env: Environment, tracer, client: int, op: str,
-        offset: int, nbytes: int, arch: str,
+        self, env: Environment, client: int, op: str, offset: int,
+        nbytes: int, io_nbytes: int,
     ):
-        self.env = env
-        self.callbacks: Optional[list] = [self._fire]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        self.tracer = tracer
+        super().__init__(env)
         self.client = client
         self.op = op
         self.offset = offset
         self.nbytes = nbytes
-        self.arch = arch
-        self.stage = 0
-        self.trace: Optional[int] = None
-
-    def arm(self, t0, t1, t2, t3, io_nbytes, req, done) -> None:
-        """Start the stage chain once the eager claims have priced it.
-
-        ``req`` is the preloaded :class:`~repro.hardware.disk.DiskRequest`
-        (its ``trace`` field is filled in at stage 0, before the disk's
-        completion marker reads it); ``done`` is the completion event —
-        its pop schedules the request-epilogue stages.
-        """
-        self.t0 = t0
-        self.t1 = t1
-        self.t2 = t2
-        self.t3 = t3
         self.io_nbytes = io_nbytes
-        self.req = req
-        done.callbacks.append(self._on_done)
-        env = self.env
-        # Urgent at submit time: the pop slot the phase request's
-        # Initialize would occupy, so trace ids allocate in submit order.
-        heappush(env._queue, (t0, next(env._seq) - _KEY_OFFSET, self))
+        self.trace: Optional[int] = None
+        self.t0 = env._now
 
-    def _on_done(self, _event: Event) -> None:
-        # The disk completion pop: where the phase piece process would
-        # resume and finish (pushing its Process event).  A sampled-out
-        # synth (req cleared at stage 0) has nothing left to emit.
-        if self.req is None:
-            return
-        env = self.env
-        heappush(env._queue, (env._now, next(env._seq), self))
-
-    def _fire(self, _event: Event) -> None:
-        env = self.env
-        stage = self.stage
-        self.stage = stage + 1
-        self.callbacks = [self._fire]
-        tracer = self.tracer
-        if stage == 0:
-            # ≡ Initialize pop: the request body starts; the phase path
-            # allocates the trace id here, then spawns the piece
-            # process (one urgent push).
-            trace = tracer.new_trace()
-            self.trace = trace
-            self.req.trace = trace
-            if not tracer.keeps(trace):
-                # Sampled out: no spans will be appended anywhere (the
-                # disk marker's record() drops its span by the same
-                # hash), so the remaining stages have nothing to do.
-                # Feed the per-hop latency histograms the durations the
-                # phase path would observe, and stop.
-                self._ff_observe(tracer)
-                self.req = None  # deadens _on_done
-                return
-            heappush(env._queue, (self.t0, next(env._seq) - _KEY_OFFSET, self))
-        elif stage == 1:
-            # ≡ piece-process Initialize pop: the CPU claim's hold
-            # draws its key here (normal key at t1).
-            heappush(env._queue, (self.t1, next(env._seq), self))
-        elif stage == 2:
-            # ≡ CPU hold pop: the driver-entry span records, and the
-            # SCSI transfer's hold draws its key (normal key at t2).
+    def _cpu_hold(self, _event: Event) -> None:
+        # ≡ CPU hold pop: the driver-entry span records; the SCSI
+        # hold's key at t2 is drawn.
+        tracer = _obs.TRACER
+        if tracer.enabled:
             tracer.record(
                 CPU_DRIVER, f"node{self.client}.cpu", self.t0, self.t1,
                 trace=self.trace,
             )
-            heappush(env._queue, (self.t2, next(env._seq), self))
-        elif stage == 3:
-            # ≡ SCSI hold pop: the bus span records.  The disk's own
-            # service span is recorded by its completion marker (armed
-            # at preload), which also triggers ``done`` → _on_done.
+        self.at(self.t2)
+
+    def _scsi_hold(self, _event: Event) -> None:
+        # ≡ SCSI hold pop: the bus span records, then the piece submits
+        # its request to the disk.
+        tracer = _obs.TRACER
+        if tracer.enabled:
             tracer.record(
                 SCSI_TRANSFER, f"node{self.client}.scsi", self.t1, self.t2,
                 trace=self.trace, nbytes=self.io_nbytes,
             )
-        elif stage == 4:
-            # ≡ piece Process pop: the phase path's AllOf condition
-            # fires here (one normal push).
-            heappush(env._queue, (env._now, next(env._seq), self))
-        else:
-            # ≡ AllOf pop: the request generator's epilogue records its
-            # spans at the completion instant.
-            self._ff_final(tracer, env)
+        self._to_disk()
 
-    def _ff_observe(self, tracer) -> None:
-        """Feed the latency histograms for a sampled-out request — the
-        per-hop durations the phase path's ``record`` calls would have
-        contributed.  Subclasses with extra epilogue spans add theirs."""
-        tracer.observe(CPU_DRIVER, self.t1 - self.t0)
-        tracer.observe(SCSI_TRANSFER, self.t2 - self.t1)
-        tracer.observe(REQUEST, self.t3 - self.t0)
+    def _disk_done(self, _event: Event) -> None:
+        # ≡ disk completion pop: the piece process finishes (its
+        # Process event, one normal push).
+        self.at(self.env._now)
 
-    def _ff_final(self, tracer, env) -> None:
-        """Record the request-epilogue span(s) at the final stage pop.
-        Subclasses prepend any span their phase twin records before the
-        root REQUEST span (append order is part of the byte-identity
-        contract)."""
-        tracer.record(
-            REQUEST, f"node{self.client}.request", self.t0, env.now,
+    def _piece_process(self, _event: Event) -> None:
+        # ≡ piece Process pop: the request's AllOf fires (one push).
+        self.at(self.env._now)
+
+    def _allof(self, _event: Event) -> None:
+        # ≡ AllOf pop: the request generator resumes and finishes.
+        self.epilogue()
+
+
+class FFSpanSynth(LocalReadChain):
+    """Lockstep span synthesis for one fast-forwarded request.
+
+    With tracing on, :meth:`Node.try_fast_forward` arms this chain with
+    its eager claims' times, so the request's trace id allocates and its
+    ``cpu.driver``/``scsi.transfer``/``request`` spans record at the
+    pops the phase path would record them at (DESIGN §6.15).  The disk's
+    own service span comes from its completion marker, which reads the
+    trace id this chain files on the preloaded request at its first pop.
+
+    Cost: tracing off, no synth exists; a sampled-out request spends one
+    pop (where the latency histograms are fed); a sampled-in request
+    spends six pops, one inside the disk completion's.
+    """
+
+    __slots__ = ("arch", "t3", "req", "done")
+
+    def __init__(
+        self, env: Environment, client: int, op: str, offset: int,
+        nbytes: int, io_nbytes: int, arch: str,
+    ):
+        super().__init__(env, client, op, offset, nbytes, io_nbytes)
+        self.arch = arch
+
+    def arm(self, t1, t2, t3, req, done) -> None:
+        """Start the chain once the eager claims have priced it: ``req``
+        is the preloaded disk request, ``done`` its completion event."""
+        self.t1 = t1
+        self.t2 = t2
+        self.t3 = t3
+        self.req = req
+        self.done = done
+        # Urgent at submit time: the pop slot the phase request's
+        # Initialize would occupy, so trace ids allocate in submit order.
+        self.urgent()
+
+    def _request_init(self, _event: Event) -> None:
+        # ≡ request Initialize pop: the trace id allocates, then the
+        # piece process spawns (one urgent push).
+        tracer = _obs.TRACER
+        trace = self.trace = self.req.trace = tracer.new_trace()
+        if not tracer.keeps(trace):
+            # Sampled out: no span will be kept (the disk marker's
+            # record() drops its span by the same hash), so stop here
+            # after feeding the latency histograms the durations the
+            # phase path's records would.
+            tracer.observe(CPU_DRIVER, self.t1 - self.t0)
+            tracer.observe(SCSI_TRANSFER, self.t2 - self.t1)
+            tracer.observe(REQUEST, self.t3 - self.t0)
+            return
+        self.urgent()
+
+    def _piece_init(self, _event: Event) -> None:
+        # ≡ piece Initialize pop: the claims were eager, so only the
+        # CPU hold's key (normal, at t1) is drawn here.
+        self.at(self.t1)
+
+    def _to_disk(self) -> None:
+        # The request was preloaded at submit: the next stage runs in
+        # its completion's pop, ahead of the workload's callbacks.
+        self.on(self.done)
+
+    def epilogue(self) -> None:
+        # The request generator's epilogue: the root span.
+        _obs.TRACER.record(
+            REQUEST, f"node{self.client}.request", self.t0, self.env._now,
             trace=self.trace, op=self.op, offset=self.offset,
             nbytes=self.nbytes, arch=self.arch,
         )
+
+    STAGES = (
+        _request_init, _piece_init, LocalReadChain._cpu_hold,
+        LocalReadChain._scsi_hold, LocalReadChain._disk_done,
+        LocalReadChain._piece_process, LocalReadChain._allof,
+    )
 
 
 class Node:
@@ -325,7 +322,6 @@ class Node:
         disk = self.ff_ready_chain(disk_id, op, offset, nbytes)
         if disk is None:
             return None
-        now = self.env._now
         # The three eager claims: CPU driver entry, SCSI transfer, disk
         # preload — each the link's own reservation (see ff_claim_cpu).
         t1 = self.ff_claim_cpu(self.config.cpu.kernel_request_overhead_s)
@@ -334,8 +330,5 @@ class Node:
         if synth is not None:
             # t2 + service is the exact float the completion marker was
             # armed at — the phase path's request end time.
-            synth.arm(
-                now, t1, t2, t2 + disk._ff_info[0], nbytes,
-                disk._ff_req, done,
-            )
+            synth.arm(t1, t2, t2 + disk._ff_info[0], disk._ff_req, done)
         return done

@@ -90,14 +90,15 @@ GUARDED: Dict[str, FrozenSet[str]] = {
     # Cache-stage predicates (PR 10): the fill fast path reads the
     # dirty/destaging/pending-fill state at submit and defers its disk
     # preload, so these writes must stay inside the stage machinery
-    # that re-establishes the predicate.
+    # that re-establishes the predicate.  The replays write them in
+    # their pop-script stages and the stage's shared request tail.
     "_active": frozenset(
         {
             "CacheStage.__init__",
             "CacheStage.run_request",
             "CacheStage._fast_hit",
-            "_FFCacheHit._fire",
-            "_FFFillRun._fire",
+            "CacheStage._ff_release",
+            "_FFFill._request_init",
         }
     ),
     "_destaging": frozenset(
@@ -112,7 +113,7 @@ GUARDED: Dict[str, FrozenSet[str]] = {
         {
             "CacheStage.__init__",
             "CacheStage._fast_fill",
-            "_FFFillRun._fire",
+            "_FFFill._dispatch",
         }
     ),
     "phase_inflight": frozenset(

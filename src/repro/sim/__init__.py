@@ -20,7 +20,7 @@ Typical use::
     env.run()
 """
 
-from repro.sim.events import AllOf, Event, Timeout
+from repro.sim.events import AllOf, Event, PopScript, Timeout
 from repro.sim.core import Environment, Process, SimulationError
 from repro.sim.resources import Resource
 from repro.sim.shared import BandwidthLink
@@ -35,6 +35,7 @@ __all__ = [
     "Environment",
     "Event",
     "Mutex",
+    "PopScript",
     "Process",
     "RandomStreams",
     "Resource",

@@ -209,7 +209,7 @@ class Environment:
         """Create an event triggering ``delay`` time units from now."""
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
+            if not delay >= 0:  # NaN fails this compare too
                 raise ValueError(f"negative timeout delay {delay!r}")
             t = pool.pop()
             t.delay = delay
@@ -240,7 +240,7 @@ class Environment:
         for g in generators:
             p = Process(self, g, defer_init=True)
             procs.append(p)
-            inits.append(p._target)
+            inits.append(p._sleep)
         self.schedule_many(inits, priority=_URGENT)
         return procs
 
@@ -253,7 +253,7 @@ class Environment:
         self, event: Event, priority: int = _NORMAL, delay: float = 0.0
     ) -> None:
         """Queue ``event`` for processing ``delay`` time units from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails this compare too
             raise ValueError(f"negative delay {delay!r}")
         key = next(self._seq)
         if priority != _NORMAL:
@@ -278,7 +278,7 @@ class Environment:
 
         Returns the number of events queued.
         """
-        if delay < 0:
+        if not delay >= 0:  # NaN fails this compare too
             raise ValueError(f"negative delay {delay!r}")
         seq = self._seq
         at = self._now + delay
@@ -342,9 +342,9 @@ class Environment:
                     return stop._value
             else:
                 at = float(until)
-                if at < self._now:
+                if not at >= self._now:  # NaN fails this compare too
                     raise ValueError(
-                        f"until={at} lies in the past (now={self._now})"
+                        f"until={at} is not at or after now={self._now}"
                     )
                 stop = Event(self)
                 # Trigger just before any event at exactly `at` runs.
@@ -504,7 +504,7 @@ class Process(Event):
     other simply by yielding them.
     """
 
-    __slots__ = ("_generator", "_target", "_wake", "_sleep")
+    __slots__ = ("_generator", "_wake", "_sleep")
 
     def __init__(
         self,
@@ -537,21 +537,10 @@ class Process(Event):
         # it.
         sleep = _Sleep(self)
         self._sleep: _Sleep = sleep
-        self._target: Optional[Event] = sleep
         if not defer_init:
             heappush(
                 env._queue, (env._now, next(env._seq) - _KEY_OFFSET, sleep)
             )
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is _PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
 
     def _resume(self, event: Event) -> None:
         env = self.env
@@ -593,7 +582,6 @@ class Process(Event):
                             env._queue,
                             (env._now + next_event, next(env._seq), sleep),
                         )
-                        self._target = sleep
                         break
                     # Negative delay: surface the same ValueError a
                     # Timeout would raise, at the yield point.
@@ -618,7 +606,6 @@ class Process(Event):
                 if callbacks is not None:
                     # Pending or triggered-but-unprocessed: park here.
                     callbacks.append(self._wake)
-                    self._target = next_event
                     break
                 # Already processed: loop and deliver immediately.
                 event = next_event
@@ -649,7 +636,6 @@ class Process(Event):
             return
         if callbacks is not None:
             callbacks.append(self._wake)
-            self._target = next_event
         else:
             self._resume(next_event)  # already processed: deliver now
 
@@ -657,14 +643,14 @@ class Process(Event):
         # Drop the self-references (the bound ``_wake``, and the sleep
         # whose ``process`` points back here) so reference counting
         # frees a finished process instead of the cyclic collector.
-        self._target = self._wake = self._sleep = None
+        self._wake = self._sleep = None
         self._ok = True
         self._value = value
         env = self.env
         heappush(env._queue, (env._now, next(env._seq), self))
 
     def _fail_out(self, exc: BaseException) -> None:
-        self._target = self._wake = self._sleep = None
+        self._wake = self._sleep = None
         tb = exc.__traceback__
         if tb is not None:
             # Start the traceback at the generator: the kernel frame that

@@ -85,14 +85,6 @@ class Event:
         heappush(env._queue, (env._now, next(env._seq), self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome into this one (callback form)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defused()
-            self.fail(event._value)
-
     def defused(self) -> None:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
@@ -114,7 +106,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # NaN fails this compare too
             raise ValueError(f"negative timeout delay {delay!r}")
         # Flat initialization + inline push: this constructor runs once
         # per simulated service interval, so it skips the Event.__init__
@@ -126,6 +118,53 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         heappush(env._queue, (env._now + delay, next(env._seq), self))
+
+
+class PopScript(Event):
+    """A self-rescheduling event that steps through a fixed script.
+
+    A fast path that prices a request in closed form must still occupy
+    the heap positions of its event-driven twin, whose same-time ties
+    break by keys drawn at earlier pops.  Each pop of a script runs the
+    next method of the subclass's ``STAGES`` tuple with the event whose
+    pop runs it; the stage (or, for the first, the owner) schedules the
+    next one with :meth:`urgent` (a process's Initialize), :meth:`at`
+    (a hold ending, or a same-instant hop) or :meth:`on` (a process
+    resuming on the event it waits on).  Scheduling nothing ends it.
+    """
+
+    __slots__ = ("stage",)
+    STAGES: tuple = ()
+
+    def __init__(self, env: "Environment"):
+        self.env = env
+        self.callbacks: Optional[list] = [self._fire]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.stage = 0
+
+    def _fire(self, event: Event) -> None:
+        stage = self.stage
+        self.stage = stage + 1
+        # The kernel cleared our callbacks when it popped us: re-arm.
+        self.callbacks = [self._fire]
+        self.STAGES[stage](self, event)
+
+    def urgent(self) -> None:
+        """Run the next stage at an urgent key now."""
+        env = self.env
+        heappush(env._queue, (env._now, next(env._seq) - _KEY_OFFSET, self))
+
+    def at(self, when: float) -> None:
+        """Run the next stage at a normal key at ``when``."""
+        env = self.env
+        heappush(env._queue, (when, next(env._seq), self))
+
+    def on(self, event: Event) -> None:
+        """Run the next stage inside ``event``'s pop, before its other
+        callbacks (``event`` must not be processed yet)."""
+        event.callbacks.insert(0, self._fire)
 
 
 class ConditionValue:

@@ -27,9 +27,9 @@ class BandwidthLink:
         latency: float = 0.0,
         name: str = "",
     ):
-        if rate <= 0:
+        if not rate > 0:  # NaN fails every compare
             raise ValueError("rate must be positive")
-        if latency < 0:
+        if not latency >= 0:
             raise ValueError("latency must be non-negative")
         self.env = env
         self.rate = float(rate)
@@ -48,10 +48,10 @@ class BandwidthLink:
         """Book ``nbytes`` starting no earlier than ``at``; returns the
         delay from ``at`` to completion.  The link's one copy of its
         float arithmetic (waits and fast-forward claims alike);
-        ``outstanding`` is the caller's."""
-        if nbytes < 0:
+        ``outstanding`` is the caller's.  NaN is rejected as negative."""
+        if not nbytes >= 0:
             raise ValueError("nbytes must be non-negative")
-        if stretch < 0:
+        if not stretch >= 0:
             raise ValueError("stretch must be non-negative")
         free_at = self._free_at
         start = free_at if free_at > at else at  # max(at, free_at)

@@ -162,7 +162,7 @@ def test_cached_ff_identical_under_sampled_tracing_tie_regression():
     between a phase-vetoed request and a fast-forwarded fill: the
     fill's disk marker must draw its heap key at the dispatch-wake
     pop, not at submit, or the workload callbacks fire in the wrong
-    order (the bug the full pop-chain replay in ``_FFFillRun`` fixes).
+    order (the bug the full pop-chain replay in ``_FFFill`` fixes).
     """
     for capacity in (8, 64):
         _assert_identical(

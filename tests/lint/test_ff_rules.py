@@ -259,10 +259,12 @@ def test_cache_stage_guard_mutation_from_owning_sites_is_silent():
                 def _destage_sweep(self, client):
                     self._destaging[client] = False
 
-            class _FFFillRun:
-                def _fire(self, event):
-                    self.stage_ref._active += 1
-                    self.stage_ref._ff_fill_pending[0] -= 1
+            class _FFFill:
+                def _request_init(self, event):
+                    self.cache._active += 1
+
+                def _dispatch(self, event):
+                    self.cache._ff_fill_pending[self.client] -= 1
             """,
     })
     assert findings == []

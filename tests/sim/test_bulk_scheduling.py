@@ -130,7 +130,7 @@ def test_defer_init_keyword_only():
 
     p = Process(env, g(), defer_init=True)
     assert len(env) == 0  # nothing queued until schedule_many
-    env.schedule_many([p._target], priority=_URGENT)
+    env.schedule_many([p._sleep], priority=_URGENT)
     env.run()
     assert p.processed
 

@@ -1,9 +1,9 @@
 """Kernel corner cases: resumes after inline sleeps, condition edge
-semantics, and event trigger mirroring."""
+semantics, rejected delays, and pop scripts."""
 
 import pytest
 
-from repro.sim import Environment
+from repro.sim import Environment, PopScript, Timeout
 
 
 def test_yields_after_inline_sleep_take_resume_arms(env):
@@ -48,23 +48,6 @@ def test_yields_after_inline_sleep_take_resume_arms(env):
         ("negative", 1.0), ("ok", "v", 2.0), ("failed", 3.0),
         ("non-event", 4.0),
     ]
-
-
-def test_event_trigger_mirrors_success(env):
-    src, dst = env.event(), env.event()
-    src.succeed("payload")
-    dst.trigger(src)
-    assert dst.triggered and dst.ok and dst.value == "payload"
-
-
-def test_event_trigger_mirrors_failure(env):
-    src, dst = env.event(), env.event()
-    src._ok = False
-    src._value = ValueError("x")
-    dst.trigger(src)
-    assert dst.triggered and not dst.ok
-    dst.defused()
-    env.run()
 
 
 def test_condition_failure_after_trigger_is_defused(env):
@@ -162,3 +145,85 @@ def test_negative_schedule_delay_rejected(env, bulk):
     env.run()
     assert env.now == 5.0
     assert not ev.processed
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["timeout", "pooled_timeout", "Timeout", "schedule", "schedule_many",
+     "run_until"],
+)
+def test_nan_time_is_rejected_before_state_moves(env, entry):
+    """NaN passes ``x < 0``: a NaN timeout used to pop between two
+    ordinary events and set ``env.now`` to NaN, and ``run(until=nan)``
+    queued a stop event at NaN.  Every entry point must reject it with
+    the clock, the queue and the sequence counter untouched."""
+    env.timeout(1.0)
+    env.run()  # recycles that Timeout into the pool
+    if entry != "pooled_timeout":
+        env._timeout_pool.clear()
+    ev = env.event()
+    ev._ok, ev._value = True, None
+    env.timeout(2.0)
+    before = (env.now, len(env), env.processed_events)
+    key_before = next(env._seq)
+    calls = {
+        "timeout": lambda: env.timeout(NAN),
+        "pooled_timeout": lambda: env.timeout(NAN),
+        "Timeout": lambda: Timeout(env, NAN),
+        "schedule": lambda: env.schedule(ev, delay=NAN),
+        "schedule_many": lambda: env.schedule_many([ev], delay=NAN),
+        "run_until": lambda: env.run(until=NAN),
+    }
+    with pytest.raises(ValueError):
+        calls[entry]()
+    assert (env.now, len(env), env.processed_events) == before
+    assert next(env._seq) == key_before + 1  # no key drawn
+    env.run()
+    assert env.now == 3.0
+
+
+class _Script(PopScript):
+    """Urgent at now, then a normal key at a later time, then inside
+    another event's pop: the three ways a stage schedules the next."""
+
+    def __init__(self, env, log, other):
+        super().__init__(env)
+        self.log = log
+        self.other = other
+        self.urgent()
+
+    def _first(self, event):
+        self.log.append(("first", self.env.now, event is self))
+        self.at(2.0)
+
+    def _second(self, event):
+        self.log.append(("second", self.env.now, event is self))
+        self.on(self.other)
+
+    def _third(self, event):
+        self.log.append(("third", self.env.now, event is self.other))
+
+    STAGES = (_first, _second, _third)
+
+
+def test_pop_script_steps_through_its_stages(env):
+    log = []
+    other = env.timeout(3.0)
+    other.callbacks.append(lambda _e: log.append(("other", env.now)))
+
+    def rival(env):
+        log.append(("rival", env.now))  # an urgent start, queued later
+        yield 2.0
+        log.append(("rival woke", env.now))  # same time, later key
+
+    _Script(env, log, other)
+    env.process(rival(env))
+    env.run()
+    assert log == [
+        ("first", 0.0, True), ("rival", 0.0),
+        ("second", 2.0, True), ("rival woke", 2.0),
+        ("third", 3.0, True), ("other", 3.0),
+    ]

@@ -217,3 +217,47 @@ def test_hold_validation(env):
     env.process(p(env))
     env.run()
     assert env.now == 1.0 and link.outstanding == 0
+
+
+NAN = float("nan")
+
+
+def _link_state(env, link):
+    return (
+        env.now, len(env), link._free_at, link.outstanding,
+        link.busy_time, link.bytes_carried,
+    )
+
+
+@pytest.mark.parametrize("wait", ["hold", "transfer"])
+@pytest.mark.parametrize(
+    "nbytes,stretch", [(NAN, 0.0), (100.0, NAN)], ids=["nbytes", "stretch"]
+)
+def test_nan_link_wait_is_rejected_before_booking(env, wait, nbytes, stretch):
+    """NaN passes ``x < 0``; a NaN hold used to book the link (``_free_at``
+    and ``busy_time`` NaN) and leave ``outstanding`` at 1 for good, which
+    keeps the fast-forward predicate off that node for the rest of the
+    run.  Both waits must reject it with nothing moved."""
+    link = BandwidthLink(env, rate=100.0)
+    log = []
+
+    def p(env):
+        yield link.hold(50.0)
+        before = _link_state(env, link)
+        try:
+            getattr(link, wait)(nbytes, stretch)
+        except ValueError:
+            log.append("rejected")
+        log.append(_link_state(env, link) == before)
+
+    env.process(p(env))
+    env.run()
+    assert log == ["rejected", True]
+    assert link.outstanding == 0 and link._free_at == 0.5
+
+
+def test_nan_link_parameters_are_rejected(env):
+    with pytest.raises(ValueError):
+        BandwidthLink(env, rate=NAN)
+    with pytest.raises(ValueError):
+        BandwidthLink(env, rate=1.0, latency=NAN)
