@@ -33,7 +33,6 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.cache import CacheConfig
 from repro.cluster.cluster import build_cluster
 from repro.config import trojans_cluster
-from repro.hardware import node as node_mod
 from repro.units import KiB
 from repro.workloads.openloop import OpenLoopWorkload
 
@@ -104,16 +103,12 @@ def _ff_ab_point(node_ff: bool, requests: int) -> Tuple[int, Dict]:
     asserted by ``tests/cluster/test_cache_ff_equivalence.py``; here
     only the wall clock differs.
     """
-    old = node_mod.NODE_FAST_FORWARD
-    node_mod.NODE_FAST_FORWARD = node_ff
-    try:
-        cluster = build_cluster(
-            trojans_cluster(n=4),
-            architecture="raidx",
-            cache=CacheConfig(capacity_blocks=512, destage_batch=32),
-        )
-    finally:
-        node_mod.NODE_FAST_FORWARD = old
+    cluster = build_cluster(
+        trojans_cluster(n=4),
+        architecture="raidx",
+        cache=CacheConfig(capacity_blocks=512, destage_batch=32),
+    )
+    cluster.storage.node_ff = node_ff
     OpenLoopWorkload(
         cluster,
         rate_ops_per_s=400.0,

@@ -35,7 +35,7 @@ from repro.bench.experiments import (
     _scale_point,
     reduce_scale_shards,
 )
-from repro.hardware import node as node_mod
+from repro.cluster.systems import DistributedArraySystem
 
 
 def measure_point(
@@ -50,10 +50,11 @@ def measure_point(
     Serial in-process execution keeps the timing honest (no pool
     startup or IPC in the measured window); the sharded runner's
     determinism is asserted separately by the scale-smoke test.
+    ``node_ff`` is set on the class: each shard builds its own system.
     """
     per_shard = max(1, n_requests // max(1, shards))
-    old = node_mod.NODE_FAST_FORWARD
-    node_mod.NODE_FAST_FORWARD = node_ff
+    old = DistributedArraySystem.node_ff
+    DistributedArraySystem.node_ff = node_ff
     try:
         t0 = time.perf_counter()
         rows = [
@@ -64,7 +65,7 @@ def measure_point(
         ]
         wall = time.perf_counter() - t0
     finally:
-        node_mod.NODE_FAST_FORWARD = old
+        DistributedArraySystem.node_ff = old
     red = reduce_scale_shards(rows)
     red.pop("hist")  # distribution is summarized by mean/p99 here
     red.pop("load")  # per-disk counters: `python -m repro.bench report`

@@ -584,7 +584,6 @@ def scale_report(
     ).run()
     cluster.env.run(cluster.env.process(cluster.storage.drain()))
     load = collect_load(cluster)
-    stage = cluster.storage.engine.cache
     engine = cluster.storage.engine
     submits = engine.fast_submits + engine.phase_submits
     cache = {
@@ -594,9 +593,7 @@ def scale_report(
             str(node): round(ratio, 4)
             for node, ratio in sorted(cache_hit_ratios(load).items())
         },
-        "dirty_hw": (
-            int(load.histogram(CACHE_DIRTY_HW).max) if stage else 0
-        ),
+        "dirty_hw": int(load.histogram(CACHE_DIRTY_HW).max),
         # Fast-submit effectiveness with the cache attached: how many
         # requests the closed form served, split hit vs clean fill.
         "fast_path": {
@@ -666,8 +663,6 @@ def render_report(data: Dict) -> str:
         )
         for node, ratio in cache["hit_ratio_per_node"].items():
             lines.append(f"  node{node:>3s}  hit_ratio={ratio:6.4f}")
-        if not cache["hit_ratio_per_node"]:
-            lines.append("  (cache disabled — REPRO_CACHE=0)")
         fp = cache.get("fast_path")
         if fp:
             lines.append(

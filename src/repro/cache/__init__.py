@@ -21,13 +21,13 @@ This package is *pure bookkeeping*: no simulator imports, no process
 generators, no hardware — the cluster-layer
 :class:`~repro.cluster.cache_stage.CacheStage` owns all timing.  The
 CACHE lint family (:mod:`repro.lint.rules_cache`) enforces both
-directions of that boundary.  Caching is opt-in per system and the
-``REPRO_CACHE`` environment kill switch forces it off, which keeps
-cache-off runs byte-identical to the golden captures.
+directions of that boundary.  Caching is opt-in per system (the
+``cache=`` argument), and a system built without it stays
+byte-identical to the golden captures.
 """
 
 from repro.cache.block import BlockState, CacheStats
-from repro.cache.config import CacheConfig, cache_enabled
+from repro.cache.config import CacheConfig
 from repro.cache.coherence import CacheDirectory
 from repro.cache.core import BlockCache, WriteAdmission
 from repro.cache.destage import (
@@ -61,7 +61,6 @@ __all__ = [
     "MirrorCoalescingDestage",
     "ThresholdDestage",
     "WriteAdmission",
-    "cache_enabled",
     "coalesce_runs",
     "make_destage_policy",
     "make_policy",

@@ -1,16 +1,13 @@
-"""Cache configuration and the ``REPRO_CACHE`` kill switch.
+"""Cache configuration.
 
 A system caches only when handed an explicit :class:`CacheConfig` —
 the default is *no cache layer at all*, which is what keeps the golden
-equivalence captures byte-identical.  ``REPRO_CACHE=0`` (or ``off`` /
-``no`` / ``false``) forces the cache off even when one is configured:
-the CI cache-equivalence job runs cache-configured suites under that
-flag and diffs float-hex rows against the committed goldens.
+equivalence captures byte-identical.  The ``cache=`` argument is the
+one switch: a system built without it has no cache stage.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -23,15 +20,6 @@ MODES = ("writeback", "writethrough")
 POLICIES = ("lru", "arc")
 #: Destage trigger/selection policies (see :mod:`repro.cache.destage`).
 DESTAGE_POLICIES = ("threshold", "idle", "mirror")
-
-#: Environment kill switch; read at system construction time.
-ENV_FLAG = "REPRO_CACHE"
-_OFF_VALUES = frozenset({"0", "off", "no", "false"})
-
-
-def cache_enabled() -> bool:
-    """False when ``REPRO_CACHE`` disables caching process-wide."""
-    return os.environ.get(ENV_FLAG, "1").strip().lower() not in _OFF_VALUES
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Set, Tuple
 
-from repro.cache import CacheConfig, cache_enabled
+from repro.cache import CacheConfig
 from repro.cluster.cache_stage import CacheStage
 from repro.cluster.engine import ExecutionEngine
 from repro.cluster.message import HEADER_BYTES, MessageKind
@@ -38,15 +38,6 @@ from repro.raid.planners import (
 from repro.raid.plan import split_into_blocks
 from repro.sim.events import Event
 from repro.units import KiB
-
-
-def _node_ff_default() -> bool:
-    """The node fast-forward module default, read lazily so test
-    monkeypatching of ``repro.hardware.node.NODE_FAST_FORWARD`` is
-    honoured at system construction time."""
-    from repro.hardware import node as _node_mod
-
-    return _node_mod.NODE_FAST_FORWARD
 
 
 class StorageSystem:
@@ -124,6 +115,13 @@ class DistributedArraySystem(StorageSystem):
     #: read usually breaks the other disk's sequential run).
     read_balance_margin = 2
 
+    #: Node-level fast-forward switch, the only one.  Cleared per
+    #: instance by the first disk failure or by a fault injector, whose
+    #: mid-window failures the closed form cannot reproduce exactly
+    #: (DESIGN §6.14); tests and benchmarks set it on an instance, or on
+    #: the class for systems a harness builds.
+    node_ff = True
+
     def __init__(
         self,
         cluster,
@@ -133,9 +131,7 @@ class DistributedArraySystem(StorageSystem):
     ):
         """``cache`` opts this system into the buffer-cache layer
         (DESIGN §6.17).  The default — no cache — leaves the request
-        path byte-identical to the pre-cache engine, and the
-        ``REPRO_CACHE`` kill switch forces that even when a config is
-        passed (the CI cache-equivalence job runs under it)."""
+        path byte-identical to the pre-cache engine."""
         super().__init__(cluster)
         cfg = cluster.config
         self.layout: Layout = make_layout(
@@ -153,17 +149,9 @@ class DistributedArraySystem(StorageSystem):
         self.read_policy = read_policy
         self.planner: Planner = self._make_planner()
         self.engine = ExecutionEngine(self)
-        self.cache_config = (
-            cache if (cache is not None and cache_enabled()) else None
-        )
-        if self.cache_config is not None:
-            self.engine.cache = CacheStage(self.engine, self.cache_config)
-        #: Node-level fast-forward kill-switch.  Read from the module
-        #: flag at construction (so A/B runs flip ``REPRO_NODE_FF``
-        #: before building); cleared permanently by the first disk
-        #: failure or by a fault injector, whose mid-window failures the
-        #: closed form cannot reproduce exactly (DESIGN §6.14).
-        self.node_ff = _node_ff_default()
+        self.cache_config = cache
+        if cache is not None:
+            self.engine.cache = CacheStage(self.engine, cache)
 
     def _make_planner(self) -> Planner:
         raise NotImplementedError
@@ -185,18 +173,16 @@ class DistributedArraySystem(StorageSystem):
 
     def submit(self, client: int, op: str, offset: int, nbytes: int) -> Event:
         """Fast-forward a conflict-free request, else run the full path."""
+        engine = self.engine
         if self.node_ff:
-            engine = self.engine
             done = engine.try_fast_submit(client, op, offset, nbytes)
             if done is not None:
                 return done
-            engine.phase_submits += 1
-            proc = self.env.process(engine.run(client, op, offset, nbytes))
-            engine.phase_inflight[client] += 1
-            proc.callbacks.append(engine._phase_release[client])
-            return proc
-        self.engine.phase_submits += 1
-        return self.env.process(self.io(client, op, offset, nbytes))
+        engine.phase_submits += 1
+        proc = self.env.process(engine.run(client, op, offset, nbytes))
+        engine.phase_inflight[client] += 1
+        proc.callbacks.append(engine._phase_release[client])
+        return proc
 
     def fail_disk(self, disk: int) -> None:
         # A read fast-forwarded into this disk is rescued through the

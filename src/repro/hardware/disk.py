@@ -90,9 +90,10 @@ class DiskRequest:
     def validate(self, capacity: int) -> None:
         if self.op not in ("read", "write"):
             raise ValueError(f"bad disk op {self.op!r}")
-        if self.nbytes < 0:
-            raise ValueError("negative request size")
-        if self.offset < 0 or self.offset + self.nbytes > capacity:
+        # ``not x >= 0`` rather than ``x < 0``: NaN must fail too.
+        if not self.nbytes >= 0:
+            raise ValueError(f"bad request size {self.nbytes!r}")
+        if not self.offset >= 0 or self.offset + self.nbytes > capacity:
             raise AddressError(
                 f"request [{self.offset}, {self.offset + self.nbytes}) "
                 f"outside disk of {capacity} bytes"
@@ -254,35 +255,12 @@ class Disk:
         if self._pending > self.stats.queue_depth_hw:
             self.stats.queue_depth_hw = self._pending
         self._ff_parked = False
-        sched = self.scheduler
-        sched.push(req)
-        req = sched.pop(head=self._head)
-        # The closed form below mirrors _ff_next term for term (kept
-        # duplicated: a shared helper would put a call frame on the
-        # per-completion hot path).  Head state read at submit time is
-        # the head state at dispatch time — the predicate guarantees no
-        # intervening service.
-        off = req.offset
-        last_end = self._last_end
-        if off >= last_end and off - last_end < self._ff_window:
-            seek = 0.0
-            rot = 0.0
-        else:
-            dist = off - self._head
-            if dist < 0:
-                dist = -dist
-            if dist <= 0:
-                seek = 0.0
-            else:
-                frac = dist / self._ff_cap
-                if frac > 1.0:
-                    frac = 1.0
-                seek = self._ff_t2t + self._ff_stroke * _sqrt(frac)
-            rot = self._ff_rot
-        xfer = req.nbytes / self._ff_rate
-        service = self._ff_ctrl + seek + rot + xfer
-        self._ff_req = req
-        self._ff_info = (service, seek, rot, xfer, _obs.TRACER)
+        # The wake marker's firing, run now: the scheduler push/pop and
+        # the closed-form pricing of _ff_next.  Head state read at
+        # submit time is the head state at dispatch time — the
+        # predicate guarantees no intervening service.
+        self.scheduler.push(req)
+        service = self._ff_next(dispatch_at)
         # Phase path: the wake marker pops at dispatch_at and the run
         # loop re-arms it at ``now + service`` with now == dispatch_at.
         # Same float expression here, armed early.

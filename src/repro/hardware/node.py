@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import ClusterConfig
@@ -17,16 +16,6 @@ from repro.sim.events import Event, PopScript
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.nic import Nic
-
-#: Process-wide default for the node-level analytic fast-forward.
-#: Read when a storage system is built (``DistributedArraySystem.node_ff``
-#: is the one switch), so A/B runs flip ``REPRO_NODE_FF`` before building.
-NODE_FAST_FORWARD = os.environ.get("REPRO_NODE_FF", "1").lower() not in (
-    "0",
-    "off",
-    "no",
-    "false",
-)
 
 
 class LocalReadChain(PopScript):

@@ -63,12 +63,8 @@ GUARDED: Dict[str, FrozenSet[str]] = {
         {"Disk.__init__", "Disk.submit", "Disk._ff_step", "Disk._ff_next"}
     ),
     "_ff_items": frozenset({"Disk.__init__", "Disk.submit", "Disk._ff_next"}),
-    "_ff_req": frozenset(
-        {"Disk.__init__", "Disk.ff_preload", "Disk._ff_step", "Disk._ff_next"}
-    ),
-    "_ff_info": frozenset(
-        {"Disk.__init__", "Disk.ff_preload", "Disk._ff_next"}
-    ),
+    "_ff_req": frozenset({"Disk.__init__", "Disk._ff_step", "Disk._ff_next"}),
+    "_ff_info": frozenset({"Disk.__init__", "Disk._ff_next"}),
     "_pending": frozenset(
         {
             "Disk.__init__",

@@ -101,16 +101,3 @@ def test_config_validation():
     cfg = CacheConfig(capacity_blocks=100, dirty_fraction=0.5)
     assert cfg.threshold_blocks == 50
     assert cfg.writeback
-
-
-def test_kill_switch(monkeypatch):
-    from repro.cache import cache_enabled
-
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    assert cache_enabled()
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    assert not cache_enabled()
-    monkeypatch.setenv("REPRO_CACHE", "off")
-    assert not cache_enabled()
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    assert cache_enabled()

@@ -23,16 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheConfig, cache_enabled
+from repro.cache import CacheConfig
 from repro.cluster.cluster import build_cluster
-from repro.hardware import node as node_mod
 from repro.obs import runtime as obs_runtime
 from tests.conftest import small_config
 from tests.hardware.test_node_fastforward import _hex, _signature
-
-pytestmark = pytest.mark.skipif(
-    not cache_enabled(), reason="REPRO_CACHE=0 disables the cache layer"
-)
 
 CACHE_STAT_KEYS = (
     "hits", "misses", "fills", "write_absorbed", "destaged", "lost",
@@ -56,16 +51,12 @@ def _run(
     zero gap submits the next request at the same instant — the regime
     where claim ordering and completion ties live.
     """
-    old = node_mod.NODE_FAST_FORWARD
-    node_mod.NODE_FAST_FORWARD = node_ff
-    try:
-        cluster = build_cluster(
-            small_config(n=4), architecture=arch,
-            cache=CacheConfig(capacity_blocks=capacity, destage_batch=8,
-                              mode=mode),
-        )
-    finally:
-        node_mod.NODE_FAST_FORWARD = old
+    cluster = build_cluster(
+        small_config(n=4), architecture=arch,
+        cache=CacheConfig(capacity_blocks=capacity, destage_batch=8,
+                          mode=mode),
+    )
+    cluster.storage.node_ff = node_ff
     env = cluster.env
     storage = cluster.storage
     results = []

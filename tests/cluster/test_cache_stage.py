@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import CacheConfig, cache_enabled
+from repro.cache import CacheConfig
 from repro.cluster.cluster import build_cluster
 from repro.obs import runtime as obs_runtime
 from repro.obs.load import cache_hit_ratios, collect_load
@@ -13,13 +13,6 @@ from tests.conftest import run_proc, small_config
 BS = 32 * KiB
 
 CFG = CacheConfig(capacity_blocks=64, destage_batch=8)
-
-# Under REPRO_CACHE=0 every cluster here builds cache-less, so the
-# stage under test does not exist; the cache-equivalence CI job runs
-# in that environment precisely because this whole file skips.
-pytestmark = pytest.mark.skipif(
-    not cache_enabled(), reason="REPRO_CACHE=0 disables the cache layer"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -32,19 +25,6 @@ def cached_cluster(arch="raidx", cache=CFG, **kw):
     return build_cluster(
         small_config(n=4), architecture=arch, cache=cache, **kw
     )
-
-
-def ff_cluster(**kw):
-    """A cached cluster with the node fast-forward forced ON, so the
-    fast-path accounting tests hold under a REPRO_NODE_FF=0 CI run."""
-    from repro.hardware import node as node_mod
-
-    old = node_mod.NODE_FAST_FORWARD
-    node_mod.NODE_FAST_FORWARD = True
-    try:
-        return cached_cluster(**kw)
-    finally:
-        node_mod.NODE_FAST_FORWARD = old
 
 
 def do_io(cluster, ops, drain=True):
@@ -182,34 +162,11 @@ def test_raid5_destage_absorbs_old_data_prereads():
 
 # -- legality --------------------------------------------------------------
 
-def test_kill_switch_disables_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    c = cached_cluster()
-    assert c.storage.cache_config is None
-    assert c.storage.engine.cache is None
-
-
-def test_kill_switch_run_identical_to_uncached(monkeypatch):
-    ops = [(0, "write", 0, 3 * BS), (1, "read", 0, 2 * BS),
-           (0, "read", 4 * BS, BS), (2, "write", 2 * BS, BS)]
-
-    def finish_time(cluster):
-        do_io(cluster, ops)
-        return cluster.env.now
-
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    killed = finish_time(cached_cluster())
-    monkeypatch.delenv("REPRO_CACHE")
-    plain = finish_time(build_cluster(small_config(n=4),
-                                      architecture="raidx"))
-    assert killed.hex() == plain.hex()
-
-
 def test_fast_forward_splits_hits_and_fills_with_cache_attached():
     """A cold single-block read fast-forwards as a clean-miss fill;
     the re-reads fast-forward as resident hits — and the engine
     accounts the split."""
-    c = ff_cluster()
+    c = cached_cluster()
     do_io(c, [(0, "read", 0, BS)] * 4)
     eng = c.storage.engine
     assert eng.fast_submits == 4
@@ -224,7 +181,7 @@ def test_fast_forward_write_hits_stay_below_destage_threshold():
     """Write hits fast-forward only while the dirty count stays under
     the destage threshold; the threshold-crossing write takes the
     event path and triggers the sweep."""
-    c = ff_cluster()
+    c = cached_cluster()
     stage = stage_of(c)
     threshold = stage.policy.threshold_blocks
     do_io(c, [(0, "write", i * BS, BS) for i in range(threshold)])

@@ -17,9 +17,8 @@ disk's service).
 
 import pytest
 
-from repro.cache import CacheConfig, cache_enabled
+from repro.cache import CacheConfig
 from repro.cluster.cluster import build_cluster
-from repro.hardware import node as node_mod
 from repro.obs import runtime as obs_runtime
 from tests.conftest import small_config
 
@@ -28,15 +27,11 @@ DURING_SERVICE = 1e-3
 
 
 def _run(node_ff, cached, arch, fail_at):
-    old = node_mod.NODE_FAST_FORWARD
-    node_mod.NODE_FAST_FORWARD = node_ff
-    try:
-        cluster = build_cluster(
-            small_config(n=4), architecture=arch,
-            cache=CacheConfig(capacity_blocks=64) if cached else None,
-        )
-    finally:
-        node_mod.NODE_FAST_FORWARD = old
+    cluster = build_cluster(
+        small_config(n=4), architecture=arch,
+        cache=CacheConfig(capacity_blocks=64) if cached else None,
+    )
+    cluster.storage.node_ff = node_ff
     env = cluster.env
     storage = cluster.storage
     bs = storage.block_size
@@ -71,8 +66,6 @@ def _run(node_ff, cached, arch, fail_at):
 def test_mid_window_failure_recovers_from_redundancy(
     node_ff, cached, arch, fail_at
 ):
-    if cached and not cache_enabled():
-        pytest.skip("REPRO_CACHE=0 disables the cache layer")
     cluster, outcome, bs = _run(node_ff, cached, arch, fail_at)
     engine = cluster.storage.engine
     # The read took the path under test.
@@ -95,8 +88,6 @@ def test_mid_window_failure_recovers_from_redundancy(
 def test_mid_window_failure_under_tracing_ends_one_request(cached, fail_at):
     """Traced, the fast path's span replay (or the cached fill's chain)
     waits on the rescued read and still closes the request once."""
-    if cached and not cache_enabled():
-        pytest.skip("REPRO_CACHE=0 disables the cache layer")
     with obs_runtime.tracing() as tracer:
         cluster, outcome, bs = _run(True, cached, "raidx", fail_at)
     assert cluster.storage.engine.fast_submits == 1

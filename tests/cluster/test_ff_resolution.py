@@ -14,7 +14,6 @@ from repro.cache import CacheConfig
 from repro.cluster import engine as engine_mod
 from repro.cluster.cluster import build_cluster
 from repro.config import trojans_cluster
-from repro.hardware import node as node_mod
 from repro.units import KiB
 from repro.workloads.openloop import OpenLoopWorkload
 from tests.conftest import small_config
@@ -87,15 +86,11 @@ def test_memo_holds_a_whole_default_region_without_evicting():
 
 
 def _zero_length_run(arch, node_ff, cached):
-    old = node_mod.NODE_FAST_FORWARD
-    node_mod.NODE_FAST_FORWARD = node_ff
-    try:
-        cluster = build_cluster(
-            small_config(n=4), architecture=arch,
-            cache=CacheConfig(capacity_blocks=64) if cached else None,
-        )
-    finally:
-        node_mod.NODE_FAST_FORWARD = old
+    cluster = build_cluster(
+        small_config(n=4), architecture=arch,
+        cache=CacheConfig(capacity_blocks=64) if cached else None,
+    )
+    cluster.storage.node_ff = node_ff
     env = cluster.env
     storage = cluster.storage
     results = []

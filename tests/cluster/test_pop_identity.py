@@ -27,7 +27,7 @@ synthesis), and the seeded cached-FF runs of
 ``tests/cluster/test_cache_ff_equivalence.py`` (hit and fill replays)
 on raidx, raid0 and raid5, untraced and traced.  The FF on/off suites
 compare times and spans only; these points also catch a replay that
-adds or drops a pop.  The cached points skip under ``REPRO_CACHE=0``.
+adds or drops a pop.
 
 Regenerate (only for an intended change of simulated behaviour)::
 
@@ -42,7 +42,6 @@ import pathlib
 
 import pytest
 
-from repro.cache import cache_enabled
 from repro.cluster.cluster import build_cluster
 from repro.config import trojans_cluster
 from repro.obs.load import collect_load
@@ -163,8 +162,6 @@ def test_pops_and_times_match_golden(golden, arch, workload, node_ff):
 def test_replay_pops_and_times_match_golden(
     golden, path, arch, tracing, node_ff
 ):
-    if path == "cache" and not cache_enabled():
-        pytest.skip("REPRO_CACHE=0 disables the cache layer")
     got = run_replay(path, arch, tracing, node_ff)
     want = golden[_replay_key(path, arch, tracing, node_ff)]
     assert got["processed_events"] == want["processed_events"], (
@@ -181,7 +178,6 @@ def test_golden_covers_every_point(golden):
 
 
 if __name__ == "__main__":  # pragma: no cover - golden regeneration
-    assert cache_enabled(), "capture with the cache layer enabled"
     captured = {_key(*p): run_point(*p) for p in POINTS}
     captured.update(
         {_replay_key(*p): run_replay(*p) for p in REPLAY_POINTS}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheConfig, cache_enabled
+from repro.cache import CacheConfig
 from repro.cluster.cluster import build_cluster
 from repro.fault import FailureEvent, FaultInjector
 from repro.units import KiB
@@ -21,10 +21,6 @@ from tests.conftest import run_proc, small_config
 BS = 32 * KiB
 
 CFG = CacheConfig(capacity_blocks=128, destage_batch=8, track_blocks=True)
-
-pytestmark = pytest.mark.skipif(
-    not cache_enabled(), reason="REPRO_CACHE=0 disables the cache layer"
-)
 
 
 def cached_cluster(arch):

@@ -89,6 +89,28 @@ def test_out_of_range_request_rejected(env):
         d.read(-1, 10)
 
 
+@pytest.mark.parametrize(
+    "offset,nbytes,error",
+    [(0, float("nan"), ValueError), (float("nan"), 10, AddressError)],
+    ids=["nan_size", "nan_offset"],
+)
+def test_nan_request_rejected_before_queueing(env, offset, nbytes, error):
+    d = make_disk(env)
+    d.read(0, 32 * KiB)  # one request in flight
+    state = (env.now, d.queue_depth, len(d._ff_items), d.stats.queue_depth_hw)
+    with pytest.raises(error):
+        d.submit("read", offset, nbytes)
+    assert (
+        env.now, d.queue_depth, len(d._ff_items), d.stats.queue_depth_hw
+    ) == state
+    env.run()
+    p_ = d.params
+    expected = p_.controller_overhead_s + 32 * KiB / p_.media_rate
+    assert env.now == pytest.approx(expected)
+    assert d.stats.busy_time == pytest.approx(expected)
+    assert d.queue_depth == 0
+
+
 def test_bad_op_rejected(env):
     d = make_disk(env)
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Node fast-forward vs the event-driven hop chain: byte-identical.
 
-With ``REPRO_NODE_FF`` on, a conflict-free local request collapses the
+With ``node_ff`` on, a conflict-free local request collapses the
 CPU → SCSI → disk pipeline into three eager closed-form claims (see
 ``Node.try_fast_forward``); the moment any conflict predicate fails the
 request takes the full event-driven path.  Timing must be *exactly*
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.cluster.cluster import build_cluster
-from repro.hardware import node as node_mod
+from repro.cluster.systems import DistributedArraySystem
 from repro.obs import runtime as obs_runtime
 from repro.sim.core import Process
 from tests.conftest import small_config
@@ -88,18 +88,14 @@ def _run_scenario(
     busy ones (predicate fails, event-driven fallback) — the mixed
     regime is where claim-order bugs would show.
     """
-    old = node_mod.NODE_FAST_FORWARD
-    node_mod.NODE_FAST_FORWARD = node_ff
-    try:
-        kwargs = {"read_policy": read_policy} if arch != "nfs" else {}
-        cluster = build_cluster(
-            small_config(n=4),
-            architecture=arch,
-            locking=locking,
-            **kwargs,
-        )
-    finally:
-        node_mod.NODE_FAST_FORWARD = old
+    kwargs = {"read_policy": read_policy} if arch != "nfs" else {}
+    cluster = build_cluster(
+        small_config(n=4),
+        architecture=arch,
+        locking=locking,
+        **kwargs,
+    )
+    cluster.storage.node_ff = node_ff
     env = cluster.env
     storage = cluster.storage
     bs = storage.block_size
@@ -285,22 +281,19 @@ def test_node_ff_reduces_event_count():
     )
 
 
-def test_module_flag_controls_node_default(monkeypatch):
-    monkeypatch.setattr(node_mod, "NODE_FAST_FORWARD", False)
-    cluster = build_cluster(small_config(n=4), architecture="raid0")
-    assert not cluster.storage.node_ff
-    monkeypatch.setattr(node_mod, "NODE_FAST_FORWARD", True)
+def test_class_switch_controls_node_default(monkeypatch):
     cluster = build_cluster(small_config(n=4), architecture="raid0")
     assert cluster.storage.node_ff
+    monkeypatch.setattr(DistributedArraySystem, "node_ff", False)
+    cluster = build_cluster(small_config(n=4), architecture="raid0")
+    assert not cluster.storage.node_ff
+    cluster.storage.read(0, 0, cluster.storage.block_size)
+    cluster.env.run()
+    assert cluster.storage.engine.fast_submits == 0
 
 
 def test_fast_submit_returns_plain_event_not_process():
-    old = node_mod.NODE_FAST_FORWARD
-    node_mod.NODE_FAST_FORWARD = True
-    try:
-        cluster = build_cluster(small_config(n=4), architecture="raid0")
-    finally:
-        node_mod.NODE_FAST_FORWARD = old
+    cluster = build_cluster(small_config(n=4), architecture="raid0")
     storage = cluster.storage
     bs = storage.block_size
     disk = storage.layout.data_location(0).disk

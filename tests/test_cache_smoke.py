@@ -21,8 +21,6 @@ import pathlib
 
 import pytest
 
-from repro.cache import cache_enabled
-
 _ROOT = pathlib.Path(__file__).parent.parent
 _BENCH = _ROOT / "benchmarks" / "bench_cache.py"
 _FLOORS_FILE = _ROOT / "BENCH_cache_floors.json"
@@ -41,11 +39,6 @@ _FLOORS_DOC = json.loads(_FLOORS_FILE.read_text())
 FLOORS = _FLOORS_DOC["floors"]
 SCALE = _FLOORS_DOC["scale"]
 
-needs_cache = pytest.mark.skipif(
-    not cache_enabled(), reason="REPRO_CACHE=0 disables the cache layer"
-)
-
-
 def test_floors_cover_every_scenario():
     assert sorted(FLOORS) == sorted(bench_cache.SCENARIOS)
 
@@ -62,7 +55,6 @@ def test_cache_throughput_floor(scenario):
     )
 
 
-@needs_cache
 def test_zipf_hit_ratio_positive_and_reads_reduced():
     _, uncached = bench_cache._zipf_point(None, 1_000)
     _, cached = bench_cache._zipf_point(128, 1_000)
@@ -72,7 +64,6 @@ def test_zipf_hit_ratio_positive_and_reads_reduced():
     assert cached["lost"] == 0
 
 
-@needs_cache
 def test_cached_fast_forward_engages_on_high_hit_zipf():
     """The PR 10 A/B pair, simulation facts only: with the fast path
     on, nearly every request prices in closed form, and the simulation
@@ -89,7 +80,6 @@ def test_cached_fast_forward_engages_on_high_hit_zipf():
         assert fast[fact] == phase[fact], fact
 
 
-@needs_cache
 def test_rmw_preread_reduction():
     _, uncached = bench_cache._rmw_point(False, 500)
     _, cached = bench_cache._rmw_point(True, 500)
