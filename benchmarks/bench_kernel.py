@@ -24,6 +24,10 @@ Pure-kernel scenarios (no device models):
 * ``spawn_join``      — waves of short child processes started with
   ``process_many`` and joined by ``all_of``: the fan-out behind every
   multi-piece request and every per-piece process of the engine.
+* ``inline_join``     — waves of one child joined through
+  ``Environment.fan_out``: the one-member fan-out behind every
+  single-piece request, run inline between positional sleeps (the same
+  four pops per wave as a spawned child and its ``all_of``).
 
 Device scenarios (kernel + the callback-driven disk server of
 :mod:`repro.hardware.disk`):
@@ -161,6 +165,34 @@ def spawn_join(waves: int = 2_000) -> int:
     return env.processed_events
 
 
+def inline_join(waves: int = 50_000) -> int:
+    """W waves of one one-sleep child, each joined by ``fan_out``.
+
+    A kernel without ``fan_out`` (for an A/B against an older commit)
+    spawns the child and joins it with ``all_of`` instead: the same
+    four pops per wave.
+    """
+    env = Environment()
+    fan_out = getattr(env, "fan_out", None)
+
+    def child(dt):
+        yield dt
+
+    def parent():
+        for w in range(waves):
+            gens = [child(1e-4 * (1.0 + (w & 31) * 1e-3))]
+            if fan_out is None:
+                yield env.all_of(env.process_many(gens))
+            else:
+                yield from fan_out(gens)
+
+    env.process(parent())
+    env.run()
+    # Per wave: the urgent start, the child's sleep and the two normal
+    # join sleeps; plus the parent's Initialize and termination.
+    return env.processed_events
+
+
 def disk_drain(requests: int = 8_000) -> int:
     """Drain a deep FIFO backlog on one disk, queued before t=0.
 
@@ -253,6 +285,7 @@ SCENARIOS: Dict[str, Callable[..., int]] = {
     "event_relay": event_relay,
     "link_chain": link_chain,
     "spawn_join": spawn_join,
+    "inline_join": inline_join,
     "disk_drain": disk_drain,
     "mirror_flush": mirror_flush,
     "message_hop": message_hop,

@@ -9,6 +9,11 @@ single changed byte means a nondeterministic code path (iteration over
 an unordered set, an id()-keyed dict, a wall-clock read) crept into
 the I/O stack.
 
+Each row also carries ``completions``, a sha256 over every request's
+completion time in completion order.  A request off the critical path
+(say, one read of a client's four in flight) moves no elapsed time
+when its completion drifts, but it moves this digest.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/determinism_check.py > rows.txt
@@ -16,10 +21,11 @@ Usage::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 
-from repro.bench.experiments import fig5_bandwidth
+from repro.bench.experiments import FIG_ARCHS, run_parallel_io
 from repro.cluster.cluster import build_cluster
 from repro.config import trojans_cluster
 from repro.units import KiB
@@ -47,20 +53,61 @@ def _canon(kind: str, row: dict) -> str:
     )
 
 
+def _completions(storage):
+    """Record the completion time of every request ``storage`` is
+    submitted from now on; returns the (growing) list of float hex
+    strings.  The recorder is one more callback on each completion
+    event: it draws no heap key, so it moves no simulated time."""
+    times = []
+    submit = storage.submit
+    env = storage.env
+
+    def recorded(client, op, offset, nbytes):
+        done = submit(client, op, offset, nbytes)
+        done.callbacks.append(lambda _ev: times.append(env.now.hex()))
+        return done
+
+    storage.submit = recorded
+    return times
+
+
+def _digest(times) -> str:
+    return hashlib.sha256("\n".join(times).encode()).hexdigest()
+
+
 def fig5_rows():
-    # cache=False: the point of this check is to *re-simulate* and diff;
-    # serving the second run from the sweep cache would prove nothing.
-    result = fig5_bandwidth(
-        client_counts=FIG5_CLIENTS, workloads=FIG5_WORKLOADS, cache=False
-    )
-    for row in result.rows:
-        yield _canon("fig5", dict(row))
+    """Fig. 5 at reduced scale, in ``fig5_bandwidth``'s grid order.
+
+    Each row carries ``mb_s`` rounded as Fig. 5 publishes it and the
+    point's unrounded simulated ``elapsed_s``, so a sub-percent timing
+    drift cannot hide behind the rounding.  The points are simulated
+    afresh (never served from the sweep cache): the point of this check
+    is to re-simulate and diff.
+    """
+    for workload in FIG5_WORKLOADS:
+        for arch in FIG_ARCHS:
+            for clients in FIG5_CLIENTS:
+                wl = run_parallel_io(arch, clients, workload)
+                times = _completions(wl.cluster.storage)
+                r = wl.run()
+                yield _canon(
+                    "fig5",
+                    {
+                        "architecture": arch,
+                        "clients": clients,
+                        "completions": _digest(times),
+                        "elapsed_s": r.elapsed,
+                        "mb_s": round(r.aggregate_bandwidth_mb_s, 2),
+                        "workload": workload,
+                    },
+                )
 
 
 def degraded_rows():
     """A7 at reduced scale: 4 clients, 256 KiB reads, full float precision."""
     for arch in DEGRADED_ARCHS:
         cluster = build_cluster(trojans_cluster(), architecture=arch)
+        times = _completions(cluster.storage)
 
         def bandwidth():
             wl = ParallelIOWorkload(cluster, 4, op="read", size=256 * KiB)
@@ -73,6 +120,7 @@ def degraded_rows():
             "degraded",
             {
                 "architecture": arch,
+                "completions": _digest(times),
                 "healthy_mb_s": healthy,
                 "degraded_mb_s": degraded,
                 "final_time": cluster.env.now,

@@ -14,6 +14,7 @@ replayable as the simulator underneath it.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Iterator
 
 
@@ -45,7 +46,11 @@ class EvictionPolicy:
         raise NotImplementedError
 
     def victims(self) -> Iterator[int]:
-        """Resident blocks in preferred-eviction order."""
+        """Resident blocks in preferred-eviction order.
+
+        A live view, not a copy: the caller stops iterating before it
+        changes residency (the cache core takes the first clean block,
+        then evicts it)."""
         raise NotImplementedError
 
 
@@ -70,7 +75,7 @@ class LRUPolicy(EvictionPolicy):
     on_remove = on_evict
 
     def victims(self) -> Iterator[int]:
-        return iter(list(self._lru))
+        return iter(self._lru)
 
 
 class ARCPolicy(EvictionPolicy):
@@ -138,8 +143,7 @@ class ARCPolicy(EvictionPolicy):
         first, second = (
             (self._t1, self._t2) if prefer_t1 else (self._t2, self._t1)
         )
-        ordered = list(first) + list(second)
-        return iter(ordered)
+        return chain(first, second)
 
     def _trim_ghosts(self) -> None:
         c = self.capacity_blocks

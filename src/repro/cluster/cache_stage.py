@@ -543,7 +543,7 @@ class CacheStage:
             else:
                 miss_runs.append([start, start + take])
         if hit_bytes:
-            yield from cdd.cache_copy(hit_bytes)
+            yield cdd.cache_copy(hit_bytes)
         for start, end in miss_runs:
             yield from cdd.cache_fill(
                 self.engine, client, start, end - start, trace
@@ -592,7 +592,7 @@ class CacheStage:
             else:
                 dirtied += 1
         # One local copy lands the payload in the cache.
-        yield from cdd.cache_copy(nbytes)
+        yield cdd.cache_copy(nbytes)
         self._invalidate_peers(client, [p[0] for p in pieces])
         tracer = _obs.TRACER
         if tracer.enabled:

@@ -133,30 +133,33 @@ class CooperativeDiskDriver:
         )
 
     # -- buffer-cache routing ----------------------------------------------
-    def cache_copy(self, nbytes: int):
-        """Process generator: serve bytes from this node's buffer cache
-        — one local memory copy, no disk or network traffic.  (The
-        fast path prices the same copy in closed form via
-        ``Node.ff_claim_cpu`` instead of running this generator.)"""
-        yield self.node.cpu.memcpy(nbytes)
+    # These route a request and hand back what the caller yields (a
+    # link hold) or runs (``yield from``) at once, adding no generator
+    # frame of their own to every resume of the request.
+    def cache_copy(self, nbytes: int) -> float:
+        """Serve bytes from this node's buffer cache — one local memory
+        copy, no disk or network traffic; returns the hold to yield.
+        (The fast path prices the same copy in closed form via
+        ``Node.ff_claim_cpu``.)"""
+        return self.node.cpu.memcpy(nbytes)
 
     def cache_fill(self, engine, client: int, offset: int, nbytes: int,
                    trace=None):
-        """Process generator: route one cache fill (read-miss service or
-        a read-modify-write fill) down the planner/engine read path.
-        (A fast-forwarded clean-miss fill bypasses this generator and
+        """Route one cache fill (read-miss service or a read-modify-write
+        fill) down the planner/engine read path; returns its process
+        generator.  (A fast-forwarded clean-miss fill bypasses this and
         bumps ``cache_fill_ops`` eagerly at submit — DESIGN §6.18.)"""
         self.cache_fill_ops += 1
-        yield from engine.execute_read(client, offset, nbytes, trace)
+        return engine.execute_read(client, offset, nbytes, trace)
 
     def cache_destage(self, engine, client: int, offset: int, nbytes: int,
                       trace=None, wctx=None):
-        """Process generator: route one destage write-back down the
-        planner/engine write path.  ``wctx`` carries the RMW-absorbed
-        block set to the parity planner."""
+        """Route one destage write-back down the planner/engine write
+        path; returns its process generator.  ``wctx`` carries the
+        RMW-absorbed block set to the parity planner."""
         self.cache_destage_ops += 1
-        yield from engine.execute_write(client, offset, nbytes, trace,
-                                        wctx=wctx)
+        return engine.execute_write(client, offset, nbytes, trace,
+                                    wctx=wctx)
 
     # -- storage manager -----------------------------------------------------
     def _manage(

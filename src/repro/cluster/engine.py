@@ -204,10 +204,8 @@ class ExecutionEngine:
 
         Tolerant ops absorb a mid-flight disk failure by marking the
         disk failed (redundancy keeps the block recoverable); plain ops
-        propagate :class:`~repro.errors.DiskFailedError`.  Batched
-        executors collect these for ``Environment.process_many`` (one
-        heapified Initialize batch per fan-out); :meth:`_issue` spawns a
-        single one.
+        propagate :class:`~repro.errors.DiskFailedError`.  Executors
+        collect these for ``Environment.fan_out``.
         """
         ctx = PieceContext(trace=trace, step=pop.kind)
         block_io = self.cluster.cdds[client].block_io
@@ -226,10 +224,6 @@ class ExecutionEngine:
         return block_io(
             pop.op, pop.disk, pop.offset, pop.nbytes, pop.priority, ctx=ctx,
         )
-
-    def _issue(self, client: int, pop: PieceOp, trace) -> Event:
-        """Spawn one plan op as a process; returns its completion event."""
-        return self.env.process(self._issue_gen(client, pop, trace))
 
     # -- submit-time fast path ---------------------------------------------
     def try_fast_submit(
@@ -375,10 +369,8 @@ class ExecutionEngine:
         memo on both being empty): insists on the single-piece shapes
         the fast path can price, resolves the read source under the
         static policy, and rejects remote owners.  A read needs only its
-        pieces (all :meth:`Planner.plan` adds for a read is the
-        ``ReadPlan`` wrapper), so reads resolve from
-        :meth:`Planner.pieces_for` without building a plan; writes need
-        the planner's protocol shape.
+        pieces, from :meth:`Planner.pieces_for`; writes need the
+        planner's protocol shape.
         """
         if op == "read":
             pieces = self.planner.pieces_for(offset, nbytes)
@@ -420,31 +412,39 @@ class ExecutionEngine:
 
     # -- top-level request path --------------------------------------------
     def run(self, client: int, op: str, offset: int, nbytes: int):
-        """Process generator: plan and execute one logical request.
+        """The process generator that plans and executes one request.
 
-        With a cache attached, the request enters the admission/lookup
-        stage instead; the stage calls back into
+        With a cache attached, that is the admission/lookup stage's
+        (``CacheStage.run_request``), which calls back into
         :meth:`execute_read`/:meth:`execute_write` for fills and
-        destages.  Without one, this body is the pre-cache engine,
+        destages; without one, :meth:`_run` — the pre-cache engine,
         event for event.
         """
         if self.cache is not None:
-            yield from self.cache.run_request(client, op, offset, nbytes)
-            return
-        plan = self.planner.plan(op, offset, nbytes, self.failed_disks)
-        if not plan.pieces:
+            return self.cache.run_request(client, op, offset, nbytes)
+        return self._run(client, op, offset, nbytes)
+
+    def _run(self, client: int, op: str, offset: int, nbytes: int):
+        if op == "read":
+            # A read needs only its pieces (DESIGN §6.12).
+            plan = None
+            pieces = self.planner.pieces_for(offset, nbytes)
+        else:
+            plan = self.planner.plan(op, offset, nbytes, self.failed_disks)
+            pieces = plan.pieces
+        if not pieces:
             return
         tracer = _obs.TRACER
         trace = tracer.new_trace() if tracer.enabled else None
         t0 = self.env.now
         handle = None
-        if self.system.locking and op == "write":
+        if self.system.locking and plan is not None:
             handle = yield from self.cdd(client).acquire_write_locks(
                 list(plan.lock_blocks), trace=trace
             )
         try:
-            if op == "read":
-                yield from self._run_read(client, plan, trace)
+            if plan is None:
+                yield from self._run_read(client, pieces, trace)
                 self.system.bytes_read += nbytes
             else:
                 yield from self._run_write(client, plan, trace)
@@ -466,9 +466,9 @@ class ExecutionEngine:
         """Process generator: plan + run one read below the cache stage
         (miss service and RMW fills) — no REQUEST span, no byte
         accounting; the stage owns both."""
-        plan = self.planner.plan("read", offset, nbytes, self.failed_disks)
-        if plan.pieces:
-            yield from self._run_read(client, plan, trace)
+        pieces = self.planner.pieces_for(offset, nbytes)
+        if pieces:
+            yield from self._run_read(client, pieces, trace)
 
     def execute_write(
         self, client: int, offset: int, nbytes: int, trace,
@@ -532,16 +532,11 @@ class ExecutionEngine:
             return self._balance(candidates)
         return candidates[0]
 
-    def _run_read(self, client: int, plan: IOPlan, trace):
-        # Bulk spawn: one heapified Initialize batch for the fan-out
-        # instead of a heap sift per piece (timing-identical, see
-        # Environment.process_many).
-        events = self.env.process_many(
-            self._read_piece(client, rp.piece, trace)
-            for rp in plan.action.reads
+    def _run_read(self, client: int, pieces: List[Piece], trace):
+        """The process generator reading ``pieces`` concurrently."""
+        return self.env.fan_out(
+            [self._read_piece(client, piece, trace) for piece in pieces]
         )
-        if events:
-            yield self.env.all_of(events)
 
     def _read_piece(self, client: int, piece: Piece, trace=None):
         """Read one piece, retrying on mid-flight disk failures.
@@ -578,10 +573,9 @@ class ExecutionEngine:
         self, client: int, rplan: ReconstructRead, trace
     ):
         """Rebuild a lost block from its surviving peers + parity."""
-        reads = self.env.process_many(
-            self._issue_gen(client, r, trace) for r in rplan.reads
+        yield from self.env.fan_out(
+            [self._issue_gen(client, r, trace) for r in rplan.reads]
         )
-        yield self.env.all_of(reads)
         yield self.cluster.nodes[client].cpu.xor(rplan.xor_bytes)
 
     # -- writes ------------------------------------------------------------
@@ -622,7 +616,7 @@ class ExecutionEngine:
                     )
             for o in ops:
                 gens.append(self._issue_gen(client, o, trace))
-        yield self.env.all_of(self.env.process_many(gens))
+        yield from self.env.fan_out(gens)
         if action.check_survivors:
             self._check_copies(action.copies)
 
@@ -630,13 +624,13 @@ class ExecutionEngine:
         self._check_copies(action.copies)
         # Primary wave first, mirror wave after it commits.
         for wave in action.waves:
-            events = self.env.process_many(
+            gens = [
                 self._issue_gen(client, o, trace)
                 for o in wave
                 if o.disk not in self.failed_disks
-            )
-            if events:
-                yield self.env.all_of(events)
+            ]
+            if gens:
+                yield from self.env.fan_out(gens)
         self._check_copies(action.copies)
 
     # -- parity stripes (RAID-5) -------------------------------------------
@@ -648,10 +642,9 @@ class ExecutionEngine:
         return m
 
     def _exec_parity(self, client: int, action: ParityWrite, trace):
-        stripe_events = self.env.process_many(
-            self._exec_stripe(client, sw, trace) for sw in action.stripes
+        yield from self.env.fan_out(
+            [self._exec_stripe(client, sw, trace) for sw in action.stripes]
         )
-        yield self.env.all_of(stripe_events)
 
     def _exec_stripe(self, client: int, sw: StripeWrite, trace):
         cpu = self.cluster.nodes[client].cpu
@@ -683,7 +676,7 @@ class ExecutionEngine:
                     gens.append(
                         self._issue_gen(client, fsp.parity_write, trace)
                     )
-                yield self.env.all_of(self.env.process_many(gens))
+                yield from self.env.fan_out(gens)
                 return
 
             for g in sw.rmw_passes:
@@ -696,9 +689,8 @@ class ExecutionEngine:
                     gens.append(
                         self._issue_gen(client, g.parity_read, trace)
                     )
-                reads = self.env.process_many(gens)
-                if reads:
-                    yield self.env.all_of(reads)
+                if gens:
+                    yield from self.env.fan_out(gens)
                 # Two XOR passes: strip old data out of parity, add new.
                 yield cpu.xor(g.xor_bytes, passes=2)
                 gens = [
@@ -710,7 +702,7 @@ class ExecutionEngine:
                     gens.append(
                         self._issue_gen(client, g.parity_write, trace)
                     )
-                yield self.env.all_of(self.env.process_many(gens))
+                yield from self.env.fan_out(gens)
         finally:
             self._stripe_lock(sw.stripe).release(lock)
 
@@ -718,38 +710,38 @@ class ExecutionEngine:
     def _exec_orthogonal(self, client: int, action: OrthogonalWrite, trace):
         m = self.mirror
         m.coalesced_extents += len(action.extents)
+        for e in action.extents:
+            if e.disk not in self.failed_disks:
+                m.dirty_groups.add(e.group)
         # Foreground: data blocks stripe across all disks in parallel.
-        events = self.env.process_many(
+        gens = [
             self._issue_gen(client, o, trace)
             for o in action.foreground
             # Degraded write: only the image will carry a block whose
             # primary disk has failed.
             if o.disk not in self.failed_disks
-        )
-        for e in action.extents:
-            if e.disk not in self.failed_disks:
-                m.dirty_groups.add(e.group)
+        ]
         if not action.background:
-            events.extend(
-                self._flush_extents(client, action.extents, trace=trace)
+            gens.extend(self._flush_gens(client, action.extents, trace=trace))
+        if gens:
+            yield from self.env.fan_out(gens)
+        if action.background:
+            # Background: hand the clustered image extents to the
+            # flusher (bulk, through the kernel's heapify path: the n-1
+            # images of a cluster in one batch); rewrites of an
+            # already-queued extent are absorbed.
+            m.pending_flushes.extend(
+                self.env.process_many(
+                    self._flush_gens(
+                        client, action.extents, absorb=True, trace=trace
+                    )
+                )
             )
-            if events:
-                yield self.env.all_of(events)
-            return
-        if events:
-            yield self.env.all_of(events)
-        # Background: hand the clustered image extents to the flusher;
-        # rewrites of an already-queued extent are absorbed.
-        m.pending_flushes.extend(
-            self._flush_extents(
-                client, action.extents, absorb=True, trace=trace
-            )
-        )
 
-    def _flush_extents(
+    def _flush_gens(
         self, client: int, extents: Tuple[ImageExtent, ...],
         absorb: bool = False, trace=None,
-    ) -> List[Event]:
+    ) -> list:
         gens = []
         tracer = _obs.TRACER
         m = self.mirror
@@ -772,10 +764,7 @@ class ExecutionEngine:
                     absorb, trace,
                 )
             )
-        # The OSM write-behind makes image flushes naturally bulk (the
-        # n-1 images of a cluster in one batch): spawn them through the
-        # kernel's heapify path rather than one sift per extent.
-        return self.env.process_many(gens)
+        return gens
 
     def _flush_one(
         self, client, group, disk, off, nbytes, key, tracked, trace=None

@@ -55,8 +55,9 @@ class MessageStats:
 
     def record(self, kind: MessageKind, nbytes: int) -> None:
         """Count one message of ``kind`` carrying ``nbytes`` (payload is
-        size-only: timing model)."""
-        if nbytes < 0:
+        size-only: timing model).  NaN is rejected as negative, before
+        any counter moves."""
+        if not nbytes >= 0:
             raise ValueError("negative message size")
         self.total_messages += 1
         self.total_bytes += nbytes

@@ -376,12 +376,10 @@ class NfsSystem(StorageSystem):
             chunks = []
             while pos < end:
                 take = min(self.transfer_size, end - pos)
-                chunks.append(
-                    self.env.process(self._rpc(client, op, pos, take, trace))
-                )
+                chunks.append(self._rpc(client, op, pos, take, trace))
                 pos += take
             if chunks:
-                yield self.env.all_of(chunks)
+                yield from self.env.fan_out(chunks)
         if op == "read":
             self.bytes_read += nbytes
         else:

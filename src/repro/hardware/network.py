@@ -69,8 +69,8 @@ class Network:
                 f"bad endpoints {src}->{dst} on {n} nodes"
             )
         # Checked before anything is counted: a rejected send moves
-        # nothing.
-        if nbytes < 0:
+        # nothing.  NaN fails this compare too.
+        if not nbytes >= 0:
             raise ValueError("nbytes must be non-negative")
         self.messages += 1
         if src == dst:

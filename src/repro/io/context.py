@@ -30,9 +30,6 @@ class PieceContext:
     #: ``None`` = unbounded (each retry marks a new disk failed, so the
     #: loop terminates regardless).
     retry_budget: Optional[int] = None
-    #: The owning :class:`repro.raid.plan.IOPlan`, when the issuer
-    #: wants downstream layers to see the whole plan.
-    plan: Optional[object] = None
 
     @property
     def exhausted(self) -> bool:

@@ -108,25 +108,6 @@ class PieceOp:
 
 
 @dataclass(frozen=True)
-class ReadPiece:
-    """Foreground read of one piece.
-
-    The *source copy* is deliberately unbound: the engine asks the
-    planner for candidates per attempt (the failed set grows on every
-    mid-flight failure, and queue-depth balancing is runtime state).
-    """
-
-    piece: Piece
-
-
-@dataclass(frozen=True)
-class ReadPlan:
-    """All pieces of a logical read, served concurrently."""
-
-    reads: Tuple[ReadPiece, ...]
-
-
-@dataclass(frozen=True)
 class ReconstructRead:
     """Rebuild a lost block from surviving peers (RAID-5 degraded read):
     read the stripe's surviving data + parity, then XOR in memory."""
@@ -266,8 +247,9 @@ class IOPlan:
     pieces: Tuple[Piece, ...]
     #: Blocks whose lock groups a locking write must hold.
     lock_blocks: Tuple[int, ...] = ()
-    #: ``ReadPlan`` or one of the write protocol nodes; ``None`` for
-    #: empty requests.
+    #: One of the write protocol nodes; ``None`` for reads (the engine
+    #: reads each piece through the read-source policy) and for empty
+    #: requests.
     action: object = None
 
 

@@ -39,8 +39,6 @@ from repro.raid.plan import (
     Piece,
     PieceOp,
     ReadContext,
-    ReadPiece,
-    ReadPlan,
     ReconstructRead,
     RmwPass,
     FullStripePass,
@@ -54,7 +52,7 @@ FailedSet = AbstractSet[int]
 
 
 class Planner:
-    """Base planner: piece splitting, read plans, source ranking."""
+    """Base planner: piece splitting, write plans, source ranking."""
 
     arch = "abstract"
 
@@ -96,11 +94,8 @@ class Planner:
         """
         pieces = self.pieces_for(offset, nbytes)
         action: object = None
-        if pieces:
-            if op == "read":
-                action = ReadPlan(tuple(ReadPiece(p) for p in pieces))
-            else:
-                action = self.plan_write(pieces, failed, wctx)
+        if pieces and op != "read":
+            action = self.plan_write(pieces, failed, wctx)
         return IOPlan(
             arch=self.arch,
             op=op,

@@ -21,7 +21,7 @@ Typical use::
 """
 
 from repro.sim.events import AllOf, Event, PopScript, Timeout
-from repro.sim.core import Environment, Process, SimulationError
+from repro.sim.core import URGENT, Environment, Process, SimulationError
 from repro.sim.resources import Resource
 from repro.sim.shared import BandwidthLink
 from repro.sim.sync import Barrier, CountdownLatch, Mutex
@@ -41,4 +41,5 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Timeout",
+    "URGENT",
 ]

@@ -118,6 +118,18 @@ class _Sleep(Event):
         self.link = None
 
 
+class _Urgent:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "URGENT"
+
+
+#: ``yield URGENT``: an urgent zero sleep, resumed at this instant at the
+#: key a process spawned here would start at (DESIGN §6.1).
+URGENT = _Urgent()
+
+
 class Recurring(Event):
     """A self-rescheduling event driving a callback-based server loop.
 
@@ -247,6 +259,33 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event triggering when all ``events`` have triggered."""
         return AllOf(self, events)
+
+    def fan_out(self, generators: List[Generator]):
+        """Process generator: run ``generators`` concurrently, return
+        when all have finished (``yield from env.fan_out(gens)``).
+
+        Two or more spawn through :meth:`process_many` and join with
+        :meth:`all_of`.  A lone child runs inline between positional
+        sleeps at the pops its process would have taken: ``URGENT``
+        (its Initialize), then two zero sleeps (its ``Process`` event
+        and the ``AllOf``), after which its failure re-raises.  None
+        takes the empty ``AllOf``'s one pop.  Pops and keys match the
+        spawned form (DESIGN §6.1).
+        """
+        if len(generators) == 1:
+            yield URGENT
+            try:
+                yield from generators[0]
+            except Exception:
+                yield 0
+                yield 0
+                raise
+            yield 0
+            yield 0
+        elif generators:
+            yield AllOf(self, self.process_many(generators))
+        else:
+            yield 0
 
     # -- scheduling ------------------------------------------------------
     def schedule(
@@ -593,6 +632,10 @@ class Process(Event):
                     event = err
                     continue
 
+                if next_event is URGENT:
+                    self._urgent()
+                    break
+
                 try:
                     callbacks = next_event.callbacks
                 except AttributeError:
@@ -616,9 +659,10 @@ class Process(Event):
         """Handle a yielded value after an inline sleep resume.
 
         The run loop drives numeric-to-numeric sleeps itself; anything
-        else the generator yields after a sleep lands here.  A pending
-        event parks directly; an already-processed event, a negative
-        delay, or a non-event takes the matching arm of :meth:`_resume`.
+        else the generator yields after a sleep lands here.  ``URGENT``
+        re-arms the sleep at an urgent key now; a pending event parks
+        directly; an already-processed event, a negative delay, or a
+        non-event takes the matching arm of :meth:`_resume`.
         """
         cls = next_event.__class__
         if cls is float or cls is int:  # negative: the run loop took >= 0
@@ -626,6 +670,9 @@ class Process(Event):
             err._ok = False
             err._value = ValueError(f"negative timeout delay {next_event!r}")
             self._resume(err)
+            return
+        if next_event is URGENT:
+            self._urgent()
             return
         try:
             callbacks = next_event.callbacks
@@ -638,6 +685,14 @@ class Process(Event):
             callbacks.append(self._wake)
         else:
             self._resume(next_event)  # already processed: deliver now
+
+    def _urgent(self) -> None:
+        """Re-arm the sleep at an urgent key now (``yield URGENT``)."""
+        sleep = self._sleep
+        if sleep.callbacks is None:  # step() processed it
+            sleep.callbacks = [self._wake]
+        env = self.env
+        heappush(env._queue, (env._now, next(env._seq) - _KEY_OFFSET, sleep))
 
     def _finish(self, value: Any) -> None:
         # Drop the self-references (the bound ``_wake``, and the sleep

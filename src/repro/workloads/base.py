@@ -156,21 +156,27 @@ def chunked_io(storage, client: int, op: str, offset: int, nbytes: int,
         yield ev
 
 
-def client_node(cluster, client: int) -> int:
-    """Map a client index to a cluster node.
+def client_pool(cluster) -> List[int]:
+    """The nodes clients wrap around, in order: client ``i`` runs on
+    ``pool[i % len(pool)]``.
 
-    Clients wrap around the nodes; under NFS the server node is excluded
-    (the paper's NFS runs used a dedicated server, so client processes
-    never short-circuit the RPC path via loopback).
+    Under NFS the server node is excluded (the paper's NFS runs used a
+    dedicated server, so client processes never short-circuit the RPC
+    path via loopback).
     """
     from repro.cluster.systems import NfsSystem
 
     storage = cluster.storage
     n = cluster.n_nodes
     if isinstance(storage, NfsSystem) and n > 1:
-        pool = [i for i in range(n) if i != storage.server]
-        return pool[client % len(pool)]
-    return client % n
+        return [i for i in range(n) if i != storage.server]
+    return list(range(n))
+
+
+def client_node(cluster, client: int) -> int:
+    """Map a client index to a cluster node (see :func:`client_pool`)."""
+    pool = client_pool(cluster)
+    return pool[client % len(pool)]
 
 
 #: Default spacing between per-client private files on the virtual disk.

@@ -35,11 +35,12 @@ Three first-class arrival scenarios (``scenario=``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.obs.metrics import LogHistogram
 from repro.units import KiB
-from repro.workloads.base import client_node
+from repro.workloads.base import client_pool
 
 if TYPE_CHECKING:
     import numpy as np
@@ -303,9 +304,8 @@ class OpenLoopWorkload:
             cycle = np.array(layout.data_disk_cycle()) % n_nodes
             clients = cycle[blocks % len(cycle)].tolist()
         else:
-            clients = [
-                client_node(self.cluster, i) for i in range(n)
-            ]
+            pool = itertools.cycle(client_pool(self.cluster))
+            clients = list(itertools.islice(pool, n))
         offsets = (blocks * bs).tolist()
         return times.tolist(), ops, offsets, clients
 

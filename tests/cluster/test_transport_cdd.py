@@ -54,6 +54,23 @@ def test_message_stats_reject_negative_size():
     assert cluster.transport.stats.total_messages == 0
 
 
+def test_message_stats_reject_nan_size():
+    cluster = Cluster(small_config(n=4))
+
+    def p():
+        yield from cluster.transport.message(
+            MessageKind.READ_REQ, 0, 1, float("nan")
+        )
+
+    with pytest.raises(ValueError, match="negative message size"):
+        run_proc(cluster, p())
+    stats = cluster.transport.stats
+    assert stats.total_messages == 0
+    assert stats.total_bytes == 0.0
+    assert stats.by_kind == {}
+    assert cluster.network.messages == 0
+
+
 def test_local_block_io_skips_network():
     cluster = build_cluster(small_config(n=4), architecture="raid0")
     cdd = cluster.cdds[0]

@@ -65,6 +65,21 @@ def test_rejected_send_moves_nothing(env):
     assert net._flows_seen[1] == {}
 
 
+def test_nan_send_moves_nothing(env):
+    """A NaN size is refused like a negative one, before any counter."""
+    from repro.sim.core import SimulationError
+
+    net = Network(env, 4, NetworkParams())
+    net.transfer(0, 1, float("nan"))
+    with pytest.raises(SimulationError) as exc:
+        env.run()
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert net.messages == 0
+    assert net.bytes_switched == 0.0
+    assert net.nics[0].tx.bytes_carried == 0.0
+    assert net._flows_seen[1] == {}
+
+
 def test_tx_serializes_rx_parallel_sources(env):
     """Two senders to two different receivers don't interfere."""
     params = NetworkParams(incast_flow_threshold=None)

@@ -200,3 +200,19 @@ def test_zero_window_edge_case():
     )
     assert r.drain_s == 0.5
     assert not r.saturated
+
+
+@pytest.mark.parametrize("arch", ["raidx", "nfs"])
+def test_roundrobin_clients_match_client_node(arch):
+    """The schedule's client map, built once per run, is
+    ``client_node`` for every request index (NFS skips its server)."""
+    from repro.workloads.base import client_node
+
+    cluster = build_cluster(small_config(n=4), architecture=arch)
+    wl = OpenLoopWorkload(
+        cluster, rate_ops_per_s=2000, n_requests=11, op="read"
+    )
+    clients = wl._generate()[3]
+    assert clients == [client_node(cluster, i) for i in range(11)]
+    if arch == "nfs":
+        assert cluster.storage.server not in clients
