@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from typing import Callable, Dict, Optional, Tuple
@@ -85,60 +87,6 @@ def _zipf_point(
             c.stats.destage_batches for c in stage.caches
         )
         stats["lost"] = sum(c.stats.lost for c in stage.caches)
-    return cluster.env.processed_events, stats
-
-
-def _ff_ab_point(node_ff: bool, requests: int) -> Tuple[int, Dict]:
-    """High-hit Zipf point with the node fast-forward toggled (PR 10).
-
-    The hot set (a 16 MB region, ~500 blocks) fits in a 512-block
-    cache and the stream is read-only, so the cache never holds dirty
-    blocks: after warm-up every resident read is a fast-forward hit
-    and every miss is a fast-forward clean fill
-    (``placement="local"`` keeps each fill on the client's own disk —
-    the only geometry the single-piece fill path prices).  ``node_ff=False`` is
-    the pre-PR-10 behaviour — a cache stage vetoed the fast path
-    outright — so the pair prices exactly what the closed-form
-    hit/fill execution buys.  Byte-identity of the two simulations is
-    asserted by ``tests/cluster/test_cache_ff_equivalence.py``; here
-    only the wall clock differs.
-    """
-    cluster = build_cluster(
-        trojans_cluster(n=4),
-        architecture="raidx",
-        cache=CacheConfig(capacity_blocks=512, destage_batch=32),
-    )
-    cluster.storage.node_ff = node_ff
-    OpenLoopWorkload(
-        cluster,
-        rate_ops_per_s=400.0,
-        duration_s=None,
-        n_requests=requests,
-        op="read",
-        op_size=32 * KiB,
-        scenario="zipf",
-        region_bytes=16_000_000,
-        placement="local",
-        seed=7,
-    ).run()
-    cluster.env.run(cluster.env.process(cluster.storage.drain()))
-    engine = cluster.storage.engine
-    stage = engine.cache
-    hits = sum(c.stats.hits for c in stage.caches)
-    misses = sum(c.stats.misses for c in stage.caches)
-    submits = engine.fast_submits + engine.phase_submits
-    stats = {
-        "node_ff": node_ff,
-        "requests": requests,
-        "hit_ratio": hits / max(1, hits + misses),
-        "fast_submits": engine.fast_submits,
-        "fast_hits": engine.fast_hits,
-        "fast_fills": engine.fast_fills,
-        "phase_submits": engine.phase_submits,
-        "ff_fraction": engine.fast_submits / max(1, submits),
-        "disk_reads": sum(d.stats.reads for d in cluster.all_disks()),
-        "disk_writes": sum(d.stats.writes for d in cluster.all_disks()),
-    }
     return cluster.env.processed_events, stats
 
 
@@ -202,16 +150,6 @@ def _rmw_scenario(name: str, cached: bool):
     return run
 
 
-def _ff_scenario(name: str, node_ff: bool):
-    def run(requests: int = 8_000) -> int:
-        events, stats = _ff_ab_point(node_ff, requests)
-        RUN_STATS[name] = stats
-        return events
-
-    run.__name__ = name
-    return run
-
-
 SCENARIOS: Dict[str, Callable[..., int]] = {
     "zipf_uncached": _zipf_scenario("zipf_uncached", None),
     **{
@@ -222,8 +160,6 @@ SCENARIOS: Dict[str, Callable[..., int]] = {
     },
     "rmw_uncached": _rmw_scenario("rmw_uncached", False),
     "rmw_cached": _rmw_scenario("rmw_cached", True),
-    "zipf_ff_phase": _ff_scenario("zipf_ff_phase", False),
-    "zipf_ff_fast": _ff_scenario("zipf_ff_fast", True),
 }
 
 
@@ -260,9 +196,24 @@ def measure(name: str, scale: float = 1.0, repeats: int = 3) -> Dict:
         "events_per_sec": events / best if best > 0 else 0.0,
         **RUN_STATS.get(name, {}),
     }
-    if "requests" in out and best > 0:
-        out["requests_per_sec"] = out["requests"] / best
     return out
+
+
+def methodology(repeats: int) -> Dict:
+    """How the wall-clock figures were taken, stored beside them."""
+    return {
+        "timing": (
+            f"best of {repeats} wall-clock runs per scenario, "
+            "time.perf_counter around the whole scenario (cluster build, "
+            "workload, drain), scenarios in sequence in one process"
+        ),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "python": platform.python_version(),
+        "deterministic": (
+            "simulation facts (hit ratios, disk op counts) are identical "
+            "on every run; only seconds and events_per_sec vary"
+        ),
+    }
 
 
 def sweep(scale: float = 1.0, repeats: int = 3) -> Dict:
@@ -282,12 +233,12 @@ def sweep(scale: float = 1.0, repeats: int = 3) -> Dict:
             "cached": results["rmw_cached"].get("reads_per_write"),
         },
     }
-    fast = results["zipf_ff_fast"]
-    phase = results["zipf_ff_phase"]
-    if fast.get("seconds") and phase.get("seconds"):
-        summary["cache_ff_speedup"] = phase["seconds"] / fast["seconds"]
-        summary["cache_ff_fraction"] = fast.get("ff_fraction")
-    return {"scale": scale, "scenarios": results, "summary": summary}
+    return {
+        "scale": scale,
+        "methodology": methodology(repeats),
+        "scenarios": results,
+        "summary": summary,
+    }
 
 
 def main(argv=None) -> int:
@@ -311,10 +262,6 @@ def main(argv=None) -> int:
             extra = f"  hit_ratio={r['hit_ratio']:.4f}"
         if "reads_per_write" in r:
             extra += f"  reads/write={r['reads_per_write']:.3f}"
-        if "requests_per_sec" in r:
-            extra += f"  req/s={r['requests_per_sec']:,.0f}"
-        if "ff_fraction" in r:
-            extra += f"  ff={r['ff_fraction']:.3f}"
         print(
             f"{name:{w}s}  {r['events_per_sec']:>12,.0f} events/s"
             f"  reads={r['disk_reads']:>7d}{extra}"

@@ -368,8 +368,6 @@ def _scale_point(
         "failed": r.failed,
         "events": cluster.env.processed_events,
         "fast_submits": cluster.storage.engine.fast_submits,
-        "fast_hits": cluster.storage.engine.fast_hits,
-        "fast_fills": cluster.storage.engine.fast_fills,
         "phase_submits": cluster.storage.engine.phase_submits,
         "sim_s": r.duration_s,
         "mean_ms": r.mean_latency() * 1e3,
@@ -404,8 +402,6 @@ def reduce_scale_shards(shards: List[Dict]) -> Dict:
         "failed": sum(s["failed"] for s in shards),
         "events": sum(s["events"] for s in shards),
         "fast_submits": sum(s["fast_submits"] for s in shards),
-        "fast_hits": sum(s.get("fast_hits", 0) for s in shards),
-        "fast_fills": sum(s.get("fast_fills", 0) for s in shards),
         "phase_submits": sum(s.get("phase_submits", 0) for s in shards),
         "sim_s": sum(s["sim_s"] for s in shards),
         "mean_ms": hist.mean * 1e3,
@@ -584,8 +580,6 @@ def scale_report(
     ).run()
     cluster.env.run(cluster.env.process(cluster.storage.drain()))
     load = collect_load(cluster)
-    engine = cluster.storage.engine
-    submits = engine.fast_submits + engine.phase_submits
     cache = {
         "capacity_blocks": cache_cfg.capacity_blocks,
         "policy": cache_cfg.policy,
@@ -594,17 +588,6 @@ def scale_report(
             for node, ratio in sorted(cache_hit_ratios(load).items())
         },
         "dirty_hw": int(load.histogram(CACHE_DIRTY_HW).max),
-        # Fast-submit effectiveness with the cache attached: how many
-        # requests the closed form served, split hit vs clean fill.
-        "fast_path": {
-            "fast_submits": engine.fast_submits,
-            "fast_hits": engine.fast_hits,
-            "fast_fills": engine.fast_fills,
-            "phase_submits": engine.phase_submits,
-            "ff_fraction": (
-                round(engine.fast_submits / submits, 4) if submits else 0.0
-            ),
-        },
     }
     return {"points": points, "attribution": attribution, "cache": cache}
 
@@ -663,14 +646,6 @@ def render_report(data: Dict) -> str:
         )
         for node, ratio in cache["hit_ratio_per_node"].items():
             lines.append(f"  node{node:>3s}  hit_ratio={ratio:6.4f}")
-        fp = cache.get("fast_path")
-        if fp:
-            lines.append(
-                f"  fast path: {fp['fast_submits']} closed-form "
-                f"({fp['fast_hits']} hits + {fp['fast_fills']} fills) "
-                f"vs {fp['phase_submits']} phase "
-                f"— ff_fraction={fp['ff_fraction']:.4f}"
-            )
     return "\n".join(lines)
 
 

@@ -167,19 +167,6 @@ class BlockCache:
         self._note_dirty(+1)
         return WriteAdmission.DIRTIED
 
-    def ff_write_verdict(self, block: int, full_block: bool) -> WriteAdmission:
-        """Pure preview of :meth:`admit_write` — the same decision table,
-        mutating nothing.  The fast path's legality predicate classifies
-        every piece of a write *before* committing to the closed form
-        (one ``NEEDS_FILL`` forces the event-driven path), then replays
-        :meth:`admit_write` for real at submit (DESIGN §6.18)."""
-        state = self._state.get(block)
-        if state is BlockState.DIRTY or state is BlockState.DESTAGING:
-            return WriteAdmission.ABSORBED
-        if state is BlockState.CLEAN or full_block:
-            return WriteAdmission.DIRTIED
-        return WriteAdmission.NEEDS_FILL
-
     # -- destage lifecycle -------------------------------------------------
     def begin_destage(self, blocks: List[int]) -> None:
         for b in blocks:

@@ -82,17 +82,6 @@ class DestagePolicy:
     def should_destage(self, cache: BlockCache, idle: bool) -> bool:
         raise NotImplementedError
 
-    def ff_would_destage(self, cache: BlockCache, extra_dirty: int) -> bool:
-        """Pure preview for the fast path: would admitting
-        ``extra_dirty`` newly-dirtied blocks reach the destage
-        threshold?  Deliberately checks only the capacity-pressure
-        trigger: a threshold-crossing write is kept on the event-driven
-        path (conservative — the fast path never puts the cache under
-        destage pressure), while the idle-opportunistic trigger needs
-        no preview because the fast path replays ``should_destage`` at
-        the exact completion pop the phase path would (DESIGN §6.18)."""
-        return cache.dirty_count + extra_dirty >= self.threshold_blocks
-
     def select(self, cache: BlockCache) -> List[DestageRun]:
         """Up to ``batch_blocks`` dirty blocks, folded into runs."""
         dirty = cache.dirty_blocks()[: self.batch_blocks]

@@ -147,8 +147,7 @@ class CooperativeDiskDriver:
                    trace=None):
         """Route one cache fill (read-miss service or a read-modify-write
         fill) down the planner/engine read path; returns its process
-        generator.  (A fast-forwarded clean-miss fill bypasses this and
-        bumps ``cache_fill_ops`` eagerly at submit — DESIGN §6.18.)"""
+        generator."""
         self.cache_fill_ops += 1
         return engine.execute_read(client, offset, nbytes, trace)
 

@@ -156,11 +156,9 @@ class ExecutionEngine:
         self.cache = None
         #: Requests served by :meth:`try_fast_submit` (fast-forward hits).
         self.fast_submits = 0
-        #: Fast-forward split with a cache attached: closed-form cache
-        #: hits vs closed-form clean-miss fills (both count in
-        #: ``fast_submits`` too).
-        self.fast_hits = 0
-        self.fast_fills = 0
+        #: Always 0: a cached request never fast-forwards.  The
+        #: benchmark harness (``perfbench/suite.py``) still reads both.
+        self.fast_hits = self.fast_fills = 0
         #: Requests that took the event-driven phase path instead.
         self.phase_submits = 0
         #: FIFO evictions from the bounded ``_ff_plans`` memo.
@@ -186,10 +184,10 @@ class ExecutionEngine:
         ]
         #: Memoized fast-path plan resolutions.  With no failed disks
         #: and no dirty mirror groups (the only states the fast path
-        #: accepts, and the cache's read/write gate) the planner's
-        #: answer for a (client, op, offset, nbytes) request is a pure
-        #: function of the key, so the resolved single-piece op — or the
-        #: decision to fall back — can be replayed without re-planning.
+        #: accepts) the planner's answer for a (client, op, offset,
+        #: nbytes) request is a pure function of the key, so the
+        #: resolved single-piece op — or the decision to fall back —
+        #: can be replayed without re-planning.
         self._ff_plans: OrderedDict[
             Tuple[int, str, int, int],
             Optional[Tuple[int, str, int, int, int]],
@@ -246,6 +244,10 @@ class ExecutionEngine:
         path's trace-id allocation and span records at the same event
         pops, so the span stream stays byte-identical (DESIGN §6.15).
         """
+        if self.cache is not None:
+            # A cached request always takes the event-driven path
+            # (DESIGN §6.18).
+            return None
         system = self.system
         if self.failed_disks:
             return None
@@ -254,12 +256,6 @@ class ExecutionEngine:
             # next claim on this node may still sit in the queue where
             # the idle-pipeline predicate cannot see it.
             return None
-        if self.cache is not None:
-            # With a cache attached the request's fate is decided above
-            # the planner: the stage prices resident hits and clean miss
-            # fills in closed form (calling back into _ff_resolved for
-            # the fill's plan) and vetoes everything else (DESIGN §6.18).
-            return self.cache.try_fast_submit(client, op, offset, nbytes)
         if system.locking:
             # A same-instant locking write charges its lock-request CPU
             # at its request Initialize, ahead of a read's piece claim;
@@ -298,9 +294,10 @@ class ExecutionEngine:
         The uncached fast path hands the workload the preloaded disk
         request's own completion event, which the disk would fail.  The
         request gets a private event instead, and a rescue process waits
-        out the disk's verdict, re-reads through :meth:`reread` as the
-        phase path's piece would, and completes the workload's event.
-        (A cached fill recovers in its own chain, ``_FFFill``.)
+        out the disk's verdict, re-reads through :meth:`_read_piece` as
+        the phase path's piece would (a surviving copy, or a
+        reconstruction, now that the disk is in the failed set), and
+        completes the workload's event.
         """
         req = self.cluster.disk(disk_id)._ff_req
         if req is None:
@@ -315,23 +312,14 @@ class ExecutionEngine:
         try:
             value = yield req.done
         except DiskFailedError:
+            (piece,) = self.planner.pieces_for(hook.offset, hook.nbytes)
             try:
-                yield from self.reread(
-                    hook.client, hook.offset, hook.nbytes, req.trace
-                )
+                yield from self._read_piece(hook.client, piece, req.trace)
             except ReproError as exc:
                 done.fail(exc)
                 return
             value = None
         done.succeed(value)
-
-    def reread(self, client: int, offset: int, nbytes: int, trace):
-        """Process generator: the read retry of a fast-forwarded
-        single-piece read whose disk failed inside the priced window —
-        :meth:`_read_piece` from the top, which reads a surviving copy
-        or reconstructs now that the disk is in the failed set."""
-        (piece,) = self.planner.pieces_for(offset, nbytes)
-        yield from self._read_piece(client, piece, trace)
 
     def _ff_resolved(
         self, client: int, op: str, offset: int, nbytes: int
@@ -343,10 +331,6 @@ class ExecutionEngine:
         afresh, stored nowhere — and the clean-state cache stays valid.
         The memo itself is FIFO-bounded at ``_FF_PLAN_CAP`` entries so
         unique-offset open-loop sweeps cannot grow it without limit.
-        Cache-attached engines share this resolver for clean miss fills:
-        plan resolution sits below the buffer cache, so no cache-epoch
-        key is needed (the stage's own legality predicate re-checks the
-        live cache state on every submit).
         """
         if self.mirror.dirty_groups:
             return self._resolve_fast(client, op, offset, nbytes)

@@ -14,6 +14,8 @@ NFS, the central-server baseline, keeps its own RPC loop here.
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import index
 from typing import Set, Tuple
 
 from repro.cache import CacheConfig
@@ -21,7 +23,7 @@ from repro.cluster.cache_stage import CacheStage
 from repro.cluster.engine import ExecutionEngine
 from repro.cluster.message import HEADER_BYTES, MessageKind
 from repro.cluster.sios import SingleIOSpace
-from repro.errors import ConfigurationError, DegradedModeError
+from repro.errors import AddressError, ConfigurationError, DegradedModeError
 from repro.obs import runtime as _obs
 from repro.obs.trace import REQUEST
 from repro.raid import make_layout
@@ -51,6 +53,7 @@ class StorageSystem:
         self.cluster = cluster
         self.env = cluster.env
         self.failed_disks: Set[int] = set()
+        self._n_nodes = len(cluster.nodes)
         # Logical bytes moved, split by op, for bandwidth accounting.
         self.bytes_read = 0.0
         self.bytes_written = 0.0
@@ -67,8 +70,35 @@ class StorageSystem:
         """Process generator: execute one logical request end to end."""
         raise NotImplementedError
 
+    def _check_request(
+        self, client: int, op: str, offset: int, nbytes: int
+    ) -> None:
+        """The submit contract, checked before any counter or queue
+        moves: ``op`` is ``"read"`` or ``"write"`` and ``client`` a node
+        (else :class:`ValueError`), ``client``, ``offset`` and
+        ``nbytes`` are integers (else :class:`TypeError`, NaN
+        included), and the byte range lies inside the device (else
+        :class:`~repro.errors.AddressError`)."""
+        if op != "read" and op != "write":
+            raise ValueError(f"op must be 'read' or 'write', not {op!r}")
+        if not 0 <= index(client) < self._n_nodes:
+            raise ValueError(f"client {client} outside [0, {self._n_nodes})")
+        if index(offset) < 0 or index(nbytes) < 0 or (
+            offset + nbytes > self._capacity
+        ):
+            raise AddressError(
+                f"range [{offset}, {offset + nbytes}) outside the "
+                f"{self._capacity}-byte {self.name} device"
+            )
+
+    @cached_property
+    def _capacity(self) -> int:
+        # Layouts and NFS exports are fixed at construction.
+        return self.capacity
+
     def submit(self, client: int, op: str, offset: int, nbytes: int) -> Event:
         """Run :meth:`io` as a process; returns its completion event."""
+        self._check_request(client, op, offset, nbytes)
         return self.env.process(self.io(client, op, offset, nbytes))
 
     def read(self, client: int, offset: int, nbytes: int) -> Event:
@@ -173,6 +203,7 @@ class DistributedArraySystem(StorageSystem):
 
     def submit(self, client: int, op: str, offset: int, nbytes: int) -> Event:
         """Fast-forward a conflict-free request, else run the full path."""
+        self._check_request(client, op, offset, nbytes)
         engine = self.engine
         if self.node_ff:
             done = engine.try_fast_submit(client, op, offset, nbytes)
@@ -358,8 +389,6 @@ class NfsSystem(StorageSystem):
         return disk, (block // width) * self._block_size
 
     def io(self, client: int, op: str, offset: int, nbytes: int):
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity:
-            raise ConfigurationError("request outside the NFS export")
         tracer = _obs.TRACER
         trace = tracer.new_trace() if tracer.enabled else None
         t0 = self.env.now

@@ -18,30 +18,36 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.nic import Nic
 
 
-class LocalReadChain(PopScript):
-    """The phase path's local piece chain, replayed pop by pop.
+class FFSpanSynth(PopScript):
+    """Lockstep span synthesis for one fast-forwarded request.
 
     A fast-forwarded local request (a read, or a single-op write, whose
     chain is the same) skips the phase path's request and piece
-    processes, but its spans and claims must land at the pops those
-    processes would occupy, since the heap breaks same-time ties by
-    keys drawn at earlier pops.  The chain walks them with the
-    closed-form hop times ``t0`` (submit), ``t1`` (driver entry done)
-    and ``t2`` (bus transfer done); DESIGN §6.20 has the stage table.
-    A subclass's ``STAGES`` puts its own request- and piece-Initialize
-    stages (where its claims land) in front of the shared ones, and
-    defines ``_to_disk`` (what the SCSI hold's pop schedules next) and
-    ``epilogue`` (the request's own work at the AllOf pop).
+    processes, but its spans must land at the pops those processes
+    would occupy, since the heap breaks same-time ties by keys drawn at
+    earlier pops.  With tracing on, :meth:`Node.try_fast_forward` arms
+    this chain with its eager claims' times — ``t0`` (submit), ``t1``
+    (driver entry done), ``t2`` (bus transfer done) and ``t3`` (disk
+    done) — so the request's trace id allocates and its
+    ``cpu.driver``/``scsi.transfer``/``request`` spans record at the
+    pops the phase path would record them at (DESIGN §6.15; §6.20 has
+    the stage table).  The disk's own service span comes from its
+    completion marker, which reads the trace id this chain files on the
+    preloaded request at its first pop.
+
+    Cost: tracing off, no synth exists; a sampled-out request spends one
+    pop (where the latency histograms are fed); a sampled-in request
+    spends six pops, one inside the disk completion's.
     """
 
     __slots__ = (
-        "client", "op", "offset", "nbytes", "io_nbytes", "trace",
-        "t0", "t1", "t2",
+        "client", "op", "offset", "nbytes", "io_nbytes", "arch", "trace",
+        "t0", "t1", "t2", "t3", "req", "done",
     )
 
     def __init__(
         self, env: Environment, client: int, op: str, offset: int,
-        nbytes: int, io_nbytes: int,
+        nbytes: int, io_nbytes: int, arch: str,
     ):
         super().__init__(env)
         self.client = client
@@ -49,68 +55,9 @@ class LocalReadChain(PopScript):
         self.offset = offset
         self.nbytes = nbytes
         self.io_nbytes = io_nbytes
+        self.arch = arch
         self.trace: Optional[int] = None
         self.t0 = env._now
-
-    def _cpu_hold(self, _event: Event) -> None:
-        # ≡ CPU hold pop: the driver-entry span records; the SCSI
-        # hold's key at t2 is drawn.
-        tracer = _obs.TRACER
-        if tracer.enabled:
-            tracer.record(
-                CPU_DRIVER, f"node{self.client}.cpu", self.t0, self.t1,
-                trace=self.trace,
-            )
-        self.at(self.t2)
-
-    def _scsi_hold(self, _event: Event) -> None:
-        # ≡ SCSI hold pop: the bus span records, then the piece submits
-        # its request to the disk.
-        tracer = _obs.TRACER
-        if tracer.enabled:
-            tracer.record(
-                SCSI_TRANSFER, f"node{self.client}.scsi", self.t1, self.t2,
-                trace=self.trace, nbytes=self.io_nbytes,
-            )
-        self._to_disk()
-
-    def _disk_done(self, _event: Event) -> None:
-        # ≡ disk completion pop: the piece process finishes (its
-        # Process event, one normal push).
-        self.at(self.env._now)
-
-    def _piece_process(self, _event: Event) -> None:
-        # ≡ piece Process pop: the request's AllOf fires (one push).
-        self.at(self.env._now)
-
-    def _allof(self, _event: Event) -> None:
-        # ≡ AllOf pop: the request generator resumes and finishes.
-        self.epilogue()
-
-
-class FFSpanSynth(LocalReadChain):
-    """Lockstep span synthesis for one fast-forwarded request.
-
-    With tracing on, :meth:`Node.try_fast_forward` arms this chain with
-    its eager claims' times, so the request's trace id allocates and its
-    ``cpu.driver``/``scsi.transfer``/``request`` spans record at the
-    pops the phase path would record them at (DESIGN §6.15).  The disk's
-    own service span comes from its completion marker, which reads the
-    trace id this chain files on the preloaded request at its first pop.
-
-    Cost: tracing off, no synth exists; a sampled-out request spends one
-    pop (where the latency histograms are fed); a sampled-in request
-    spends six pops, one inside the disk completion's.
-    """
-
-    __slots__ = ("arch", "t3", "req", "done")
-
-    def __init__(
-        self, env: Environment, client: int, op: str, offset: int,
-        nbytes: int, io_nbytes: int, arch: str,
-    ):
-        super().__init__(env, client, op, offset, nbytes, io_nbytes)
-        self.arch = arch
 
     def arm(self, t1, t2, t3, req, done) -> None:
         """Start the chain once the eager claims have priced it: ``req``
@@ -145,13 +92,38 @@ class FFSpanSynth(LocalReadChain):
         # CPU hold's key (normal, at t1) is drawn here.
         self.at(self.t1)
 
-    def _to_disk(self) -> None:
-        # The request was preloaded at submit: the next stage runs in
-        # its completion's pop, ahead of the workload's callbacks.
+    def _cpu_hold(self, _event: Event) -> None:
+        # ≡ CPU hold pop: the driver-entry span records; the SCSI
+        # hold's key at t2 is drawn.
+        _obs.TRACER.record(
+            CPU_DRIVER, f"node{self.client}.cpu", self.t0, self.t1,
+            trace=self.trace,
+        )
+        self.at(self.t2)
+
+    def _scsi_hold(self, _event: Event) -> None:
+        # ≡ SCSI hold pop: the bus span records, then the piece submits
+        # its request to the disk.  The request was preloaded at
+        # submit: the next stage runs in its completion's pop, ahead of
+        # the workload's callbacks.
+        _obs.TRACER.record(
+            SCSI_TRANSFER, f"node{self.client}.scsi", self.t1, self.t2,
+            trace=self.trace, nbytes=self.io_nbytes,
+        )
         self.on(self.done)
 
-    def epilogue(self) -> None:
-        # The request generator's epilogue: the root span.
+    def _disk_done(self, _event: Event) -> None:
+        # ≡ disk completion pop: the piece process finishes (its
+        # Process event, one normal push).
+        self.at(self.env._now)
+
+    def _piece_process(self, _event: Event) -> None:
+        # ≡ piece Process pop: the request's AllOf fires (one push).
+        self.at(self.env._now)
+
+    def _allof(self, _event: Event) -> None:
+        # ≡ AllOf pop: the request generator resumes and finishes; its
+        # epilogue records the root span.
         _obs.TRACER.record(
             REQUEST, f"node{self.client}.request", self.t0, self.env._now,
             trace=self.trace, op=self.op, offset=self.offset,
@@ -159,9 +131,8 @@ class FFSpanSynth(LocalReadChain):
         )
 
     STAGES = (
-        _request_init, _piece_init, LocalReadChain._cpu_hold,
-        LocalReadChain._scsi_hold, LocalReadChain._disk_done,
-        LocalReadChain._piece_process, LocalReadChain._allof,
+        _request_init, _piece_init, _cpu_hold, _scsi_hold, _disk_done,
+        _piece_process, _allof,
     )
 
 
@@ -243,35 +214,11 @@ class Node:
         work link's rate-1.0 convention carries seconds of work as
         "bytes"), minus the wait — ``outstanding`` stays 0 for the
         window, which is exactly why callers must check the link is idle
-        *before* claiming.  Shared by the node fast-forward's
-        driver-entry hop (DESIGN §6.14) and the cache stage's memcpy hit
-        pricing (DESIGN §6.18).
+        *before* claiming: the node fast-forward's driver-entry hop
+        (DESIGN §6.14).
         """
         now = self.env._now
         return now + self.cpu._work._reserve(seconds, 0.0, now)
-
-    def ff_ready_chain(
-        self, disk_id: int, op: str, offset: int, nbytes: int
-    ) -> Optional[Disk]:
-        """The fast-forward conflict predicate for one local hop chain.
-
-        Returns the target :class:`Disk` when the whole chain is
-        conflict-free — CPU and SCSI links idle, NIC quiet, disk parked
-        — and ``None`` otherwise.  Checks only; claims nothing, so a
-        ``None`` leaves no state behind.
-        """
-        if self.cpu._work.outstanding or self.scsi._link.outstanding:
-            return None
-        # A transfer in flight on either NIC direction means remote
-        # traffic may contend for this node's CPU before the priced
-        # request would release it.
-        nic = self.nic
-        if nic is not None and (nic.tx.outstanding or nic.rx.outstanding):
-            return None
-        disk = self._disk_by_id.get(disk_id)
-        if disk is None or not disk.ff_ready(op, offset, nbytes):
-            return None
-        return disk
 
     def ff_claim_scsi(self, t1: float, nbytes: float) -> float:
         """Eagerly claim a SCSI bus transfer starting no earlier than
@@ -283,7 +230,7 @@ class Node:
         ``max(t1, _free_at)``, so claiming early yields identical floats
         as long as no other claimant can slot in between — which the CPU
         claim itself guarantees, since every path onto this bus charges
-        the CPU first (DESIGN §6.18).
+        the CPU first (DESIGN §6.14).
         """
         return t1 + self.scsi._link._reserve(nbytes, 0.0, t1)
 
@@ -308,8 +255,16 @@ class Node:
         byte-identical to the phase path (DESIGN §6.15); a fallback
         leaves the synth un-armed and inert.
         """
-        disk = self.ff_ready_chain(disk_id, op, offset, nbytes)
-        if disk is None:
+        if self.cpu._work.outstanding or self.scsi._link.outstanding:
+            return None
+        # A transfer in flight on either NIC direction means remote
+        # traffic may contend for this node's CPU before the priced
+        # request would release it.
+        nic = self.nic
+        if nic is not None and (nic.tx.outstanding or nic.rx.outstanding):
+            return None
+        disk = self._disk_by_id.get(disk_id)
+        if disk is None or not disk.ff_ready(op, offset, nbytes):
             return None
         # The three eager claims: CPU driver entry, SCSI transfer, disk
         # preload — each the link's own reservation (see ff_claim_cpu).

@@ -27,9 +27,8 @@ FF001     mutation of fast-forward guard state outside the functions
 FF002     int truncation (``//``, ``int()``, ``math.floor``/``ceil``/
           ``trunc``, ``round``, ``divmod``) in a closed-form pricing
           function — pricing is float-only, mirroring the slow path;
-          covers the ``ff_``/``_ff_`` families, the ``try_fast_*``
-          submit twins, and the cache stage's ``_fast_hit`` /
-          ``_fast_fill`` pricing helpers
+          covers the ``ff_``/``_ff_`` families and the ``try_fast_*``
+          submit twins
 FF003     ordering-dependent reduction (``sum``/``min``/``max`` over a
           set, iteration over a set) in a pricing function
 FF004     ``ff_preload`` called from code that is not downstream of an
@@ -81,35 +80,6 @@ GUARDED: Dict[str, FrozenSet[str]] = {
             "ExecutionEngine.__init__",
             "ExecutionEngine.try_fast_submit",
             "ExecutionEngine._ff_resolved",
-        }
-    ),
-    # Cache-stage predicates (PR 10): the fill fast path reads the
-    # dirty/destaging/pending-fill state at submit and defers its disk
-    # preload, so these writes must stay inside the stage machinery
-    # that re-establishes the predicate.  The replays write them in
-    # their pop-script stages and the stage's shared request tail.
-    "_active": frozenset(
-        {
-            "CacheStage.__init__",
-            "CacheStage.run_request",
-            "CacheStage._fast_hit",
-            "CacheStage._ff_release",
-            "_FFFill._request_init",
-        }
-    ),
-    "_destaging": frozenset(
-        {
-            "CacheStage.__init__",
-            "CacheStage._spawn_sweep",
-            "CacheStage._destage_sweep",
-            "CacheStage.drain",
-        }
-    ),
-    "_ff_fill_pending": frozenset(
-        {
-            "CacheStage.__init__",
-            "CacheStage._fast_fill",
-            "_FFFill._dispatch",
         }
     ),
     "phase_inflight": frozenset(
@@ -180,11 +150,8 @@ def _in_scope(mod: ModuleInfo) -> bool:
 
 
 #: Closed-form pricing functions named outside the ``ff_``/``_ff_``
-#: convention: the submit-time twins and the cache stage's hit/fill
-#: pricing helpers (PR 10).
-_PRICING_NAMES = frozenset(
-    {"try_fast_forward", "try_fast_submit", "_fast_hit", "_fast_fill"}
-)
+#: convention: the submit-time twins.
+_PRICING_NAMES = frozenset({"try_fast_forward", "try_fast_submit"})
 
 
 def _is_pricing(name: str) -> bool:
@@ -395,16 +362,12 @@ def _is_set_expr(node: ast.AST, mod: ModuleInfo) -> bool:
 
 
 class FFPreloadGuardRule(ProjectRule):
-    """FF004: arming the completion marker requires the guard check.
-
-    ``ff_ready_chain`` wraps the ``ff_ready`` check behind the rest of
-    the hop-chain predicate, so a reference to either counts as the
-    guard."""
+    """FF004: arming the completion marker requires the guard check."""
 
     code = "FF004"
     summary = "ff_preload reachable without an ff_ready guard check"
 
-    _GUARD_NAMES = ("ff_ready", "ff_ready_chain")
+    _GUARD_NAMES = ("ff_ready",)
 
     def check_project(self, mods: Sequence[ModuleInfo]) -> Iterator[Finding]:
         scope = [m for m in mods if _in_scope(m)]

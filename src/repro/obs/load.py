@@ -85,8 +85,6 @@ def collect_load(cluster: Any, registry: Optional[MetricsRegistry] = None
     engine = getattr(storage, "engine", None)
     if engine is not None:
         reg.counter("load.fast_submits").value += engine.fast_submits
-        reg.counter("load.fast_hits").value += engine.fast_hits
-        reg.counter("load.fast_fills").value += engine.fast_fills
         reg.counter("load.phase_submits").value += engine.phase_submits
         reg.counter("load.ff_plan_evictions").value += (
             engine.ff_plan_evictions

@@ -162,35 +162,20 @@ def test_raid5_destage_absorbs_old_data_prereads():
 
 # -- legality --------------------------------------------------------------
 
-def test_fast_forward_splits_hits_and_fills_with_cache_attached():
-    """A cold single-block read fast-forwards as a clean-miss fill;
-    the re-reads fast-forward as resident hits — and the engine
-    accounts the split."""
+def test_cached_system_never_fast_forwards():
+    """A cached request always takes the event-driven path, whatever its
+    shape: a cold single-block read (a clean miss), resident re-reads
+    (hits) and write hits under the destage threshold, with the node
+    fast-forward on."""
     c = cached_cluster()
-    do_io(c, [(0, "read", 0, BS)] * 4)
+    assert c.storage.node_ff
+    do_io(c, [(0, "read", 0, BS)] * 4 + [(0, "write", BS, BS)] * 2)
     eng = c.storage.engine
-    assert eng.fast_submits == 4
-    assert eng.fast_fills == 1
-    assert eng.fast_hits == 3
+    assert eng.fast_submits == 0
+    assert eng.phase_submits == 6
     st = stage_of(c).caches[0].stats
     assert st.misses == 1
     assert st.hits == 3
-
-
-def test_fast_forward_write_hits_stay_below_destage_threshold():
-    """Write hits fast-forward only while the dirty count stays under
-    the destage threshold; the threshold-crossing write takes the
-    event path and triggers the sweep."""
-    c = cached_cluster()
-    stage = stage_of(c)
-    threshold = stage.policy.threshold_blocks
-    do_io(c, [(0, "write", i * BS, BS) for i in range(threshold)])
-    eng = c.storage.engine
-    # Every write strictly under the threshold fast-forwarded; the one
-    # whose dirtying would reach it was vetoed onto the event path.
-    assert eng.fast_submits == threshold - 1
-    assert eng.phase_submits == 1
-    assert stage.caches[0].stats.destaged > 0
 
 
 def test_cache_spans_recorded():

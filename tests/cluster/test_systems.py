@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.cluster import build_cluster
 from repro.errors import (
+    AddressError,
     ConfigurationError,
     DataLossError,
     DegradedModeError,
@@ -381,8 +382,10 @@ def test_nfs_cold_cache_reads_disk():
 
 
 def test_nfs_out_of_range_rejected():
+    # The same AddressError every architecture raises at submit
+    # (tests/cluster/test_submit_contract.py).
     c = cluster_for("nfs")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(AddressError):
         do_io(c, "read", c.storage.capacity, 1)
 
 

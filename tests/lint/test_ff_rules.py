@@ -223,72 +223,57 @@ def test_sum_over_list_in_pricing_function_is_silent():
     assert findings == []
 
 
-def test_cache_stage_guard_mutation_from_unowned_site_fires():
-    # PR 10: the fill fast path's predicate state (_ff_fill_pending,
-    # _destaging, _active) is guard state — a write from outside the
-    # stage machinery breaks the deferred-preload fence.
+def test_phase_inflight_write_from_unowned_site_fires():
+    # The fast path's in-flight veto reads phase_inflight at submit; a
+    # write from outside the submit path (here a cache stage resetting
+    # it) breaks the veto.
     findings = lint({
-        "repro.cluster.cache_stage2": """
+        "repro.cluster.stage2": """
             class CacheStage:
-                def __init__(self, n):
-                    self._ff_fill_pending = [0] * n
-                    self._active = 0
-                    self._destaging = [False] * n
-
-                def reset_counters(self):
-                    self._ff_fill_pending = []
-                    self._active = 0
+                def reset(self, engine, client):
+                    engine.phase_inflight[client] = 0
             """,
     })
     assert codes(findings) == {"FF001"}
-    assert len(findings) == 2
-    assert any("_ff_fill_pending" in f.message for f in findings)
-    assert any("_active" in f.message for f in findings)
+    (f,) = findings
+    assert "phase_inflight" in f.message
+    assert "CacheStage.reset" in f.message
 
 
-def test_cache_stage_guard_mutation_from_owning_sites_is_silent():
+def test_phase_inflight_write_from_owning_sites_is_silent():
     findings = lint({
-        "repro.cluster.cache_stage2": """
-            class CacheStage:
-                def _fast_fill(self, client):
-                    self._ff_fill_pending[client] += 1
+        "repro.cluster.systems2": """
+            class ExecutionEngine:
+                def __init__(self, n):
+                    self.phase_inflight = [0] * n
 
-                def _spawn_sweep(self, client):
-                    self._destaging[client] = True
-
-                def _destage_sweep(self, client):
-                    self._destaging[client] = False
-
-            class _FFFill:
-                def _request_init(self, event):
-                    self.cache._active += 1
-
-                def _dispatch(self, event):
-                    self.cache._ff_fill_pending[self.client] -= 1
+            class DistributedArraySystem:
+                def submit(self, client):
+                    self.engine.phase_inflight[client] += 1
             """,
     })
     assert findings == []
 
 
-def test_truncation_in_cache_pricing_helper_fires():
-    # PR 10: the cache stage's hit/fill pricing helpers are pricing
-    # functions even though they sit outside the ff_ naming family.
+def test_truncation_in_submit_twin_fires():
+    # The submit-time twins are pricing functions even though they sit
+    # outside the ff_ naming family.
     findings = lint({
-        "repro.cluster.cache_stage2": """
-            class CacheStage:
-                def _fast_hit(self, nbytes):
+        "repro.cluster.engine2": """
+            class ExecutionEngine:
+                def try_fast_submit(self, nbytes):
                     return nbytes // 2 / self.rate
             """,
     })
     assert codes(findings) == {"FF002"}
-    assert "_fast_hit" in findings[0].message
+    assert "try_fast_submit" in findings[0].message
 
 
-def test_float_cache_pricing_helper_is_silent():
+def test_float_submit_twin_is_silent():
     findings = lint({
-        "repro.cluster.cache_stage2": """
-            class CacheStage:
-                def _fast_fill(self, nbytes):
+        "repro.cluster.engine2": """
+            class ExecutionEngine:
+                def try_fast_submit(self, nbytes):
                     return nbytes / self.rate + self.overhead_s
             """,
     })
@@ -382,21 +367,6 @@ def test_preload_in_helper_guarded_by_sole_caller_is_silent():
 
                 def _arm(self, disk):
                     disk.ff_preload(5)
-            """,
-    })
-    assert findings == []
-
-
-def test_preload_behind_ready_chain_guard_is_silent():
-    # ff_ready_chain wraps the ff_ready check, so a reference to it
-    # counts as the guard (PR 10 splits predicate from claims).
-    findings = lint({
-        "repro.io.node2": """
-            class Node:
-                def kick(self, disk_id):
-                    disk = self.ff_ready_chain(disk_id)
-                    if disk is not None:
-                        disk.ff_preload(5)
             """,
     })
     assert findings == []
