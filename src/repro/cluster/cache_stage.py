@@ -9,12 +9,13 @@ sweeps as background processes the system's ``drain`` waits on.
 Placement in the request path (DESIGN §6.17; a cached request always
 takes the event-driven path, §6.18)::
 
-    submit -> ExecutionEngine.run
-              -> CacheStage.run_request        (this module)
-                 -> hits:   CDD cache_copy (one local memcpy)
-                 -> misses: CDD cache_fill  -> engine.execute_read
+    submit -> ExecutionEngine.run              (trace id, bytes, span)
+              -> CacheStage.read / .write      (this module)
+                 -> hits:   cpu.memcpy (one local copy)
+                 -> misses: engine.execute_read
                  -> writes: dirty in cache; invalidate peers
-              -> background: CDD cache_destage -> engine.execute_write
+                    (write-through: engine.execute_write first)
+              -> background: engine.execute_write
                  (with a WriteContext naming the RMW-absorbed blocks)
 
 Cache-off systems never construct a CacheStage, so the stage costs the
@@ -38,7 +39,7 @@ from repro.cache.destage import DestageRun, coalesce_runs
 from repro.cluster.message import ACK_BYTES, MessageKind
 from repro.errors import DataLossError, DiskFailedError
 from repro.obs import runtime as _obs
-from repro.obs.trace import CACHE_DESTAGE, CACHE_LOOKUP, REQUEST
+from repro.obs.trace import CACHE_DESTAGE, CACHE_LOOKUP
 from repro.raid.plan import WriteContext, split_into_blocks
 from repro.sim.events import Event
 
@@ -93,32 +94,13 @@ class CacheStage:
         )
 
     # -- the admission/lookup stage ----------------------------------------
-    def run_request(self, client: int, op: str, offset: int, nbytes: int):
-        """Process generator: one logical request through the cache."""
-        tracer = _obs.TRACER
-        trace = tracer.new_trace() if tracer.enabled else None
-        t0 = self.env.now
-        self._active += 1
-        try:
-            if op == "read":
-                yield from self._read(client, offset, nbytes, trace)
-                self.engine.system.bytes_read += nbytes
-            else:
-                yield from self._write(client, offset, nbytes, trace)
-                self.engine.system.bytes_written += nbytes
-        finally:
-            self._active -= 1
-            if tracer.enabled:
-                tracer.record(
-                    REQUEST, f"node{client}.request", t0, self.env.now,
-                    trace=trace, op=op, offset=offset, nbytes=nbytes,
-                    arch=self.engine.system.name,
-                )
-        self._maybe_destage(client, trace)
-
-    def _read(self, client: int, offset: int, nbytes: int, trace):
+    # ``ExecutionEngine.run`` drives one of these two bodies per cached
+    # request.  Each counts itself in ``_active`` (idle detection) across
+    # its yields and may start a destage sweep once it has succeeded.
+    def read(self, client: int, offset: int, nbytes: int, trace):
+        """Process generator: one logical read through the cache — hits
+        as one local memory copy, each run of misses as one fill."""
         bs = self.block_size
-        cdd = self.engine.cdd(client)
         t0 = self.env.now
         hit_bytes = 0
         hits = misses = 0
@@ -134,31 +116,38 @@ class CacheStage:
                 miss_runs[-1][1] = start + take
             else:
                 miss_runs.append([start, start + take])
-        if hit_bytes:
-            yield cdd.cache_copy(hit_bytes)
-        for start, end in miss_runs:
-            yield from cdd.cache_fill(
-                self.engine, client, start, end - start, trace
-            )
-            for b in range(start // bs, (end - 1) // bs + 1):
-                self.directory.note_cached(client, b)
+        self._active += 1
+        try:
+            if hit_bytes:
+                yield self.engine.cluster.nodes[client].cpu.memcpy(hit_bytes)
+            for start, end in miss_runs:
+                yield from self.engine.execute_read(
+                    client, start, end - start, trace
+                )
+                for b in range(start // bs, (end - 1) // bs + 1):
+                    self.directory.note_cached(client, b)
+        finally:
+            self._active -= 1
         tracer = _obs.TRACER
         if tracer.enabled:
             tracer.record(
                 CACHE_LOOKUP, f"node{client}.cache", t0, self.env.now,
                 trace=trace, op="read", hits=hits, misses=misses,
             )
+        self._maybe_destage(client, trace)
 
-    def _write(self, client: int, offset: int, nbytes: int, trace):
-        if not self.config.writeback:
-            yield from self._write_through(client, offset, nbytes, trace)
-            return
+    def write(self, client: int, offset: int, nbytes: int, trace):
+        """Process generator: one logical write through the cache.
+
+        Write-back dirties the blocks in place; write-through commits
+        them to disk first and caches them clean after.  Either way the
+        peers holding a written block are invalidated."""
         bs = self.block_size
         cache = self.caches[client]
-        cdd = self.engine.cdd(client)
+        writeback = self.config.writeback
         t0 = self.env.now
         pieces = split_into_blocks(offset, nbytes, bs)
-        # RMW absorption at the cache level: a partial write of a
+        # RMW absorption at the cache level: a partial write-back of a
         # non-resident block fills the whole block first, so the cache
         # holds the pre-write content and the eventual destage can skip
         # the RAID-5 old-data pre-read.
@@ -166,52 +155,54 @@ class CacheStage:
             block
             for block, intra, take in pieces
             if (intra != 0 or take != bs) and block not in cache
-        ]
-        for run in coalesce_runs(fill_blocks, len(fill_blocks) or 1):
-            yield from cdd.cache_fill(
-                self.engine, client, run.start_block * bs,
-                run.n_blocks * bs, trace,
-            )
-            for b in run.blocks:
-                cache.fill(b)
+        ] if writeback else []
         dirtied = absorbed = 0
-        for block, intra, take in pieces:
-            verdict = cache.admit_write(
-                block, full_block=(intra == 0 and take == bs)
-            )
-            if verdict is WriteAdmission.ABSORBED:
-                absorbed += 1
+        self._active += 1
+        try:
+            if not writeback:
+                yield from self.engine.execute_write(
+                    client, offset, nbytes, trace
+                )
             else:
-                dirtied += 1
-        # One local copy lands the payload in the cache.
-        yield cdd.cache_copy(nbytes)
-        self._invalidate_peers(client, [p[0] for p in pieces])
-        tracer = _obs.TRACER
-        if tracer.enabled:
-            tracer.record(
-                CACHE_LOOKUP, f"node{client}.cache", t0, self.env.now,
-                trace=trace, op="write", dirtied=dirtied,
-                absorbed=absorbed, fills=len(fill_blocks),
-            )
-
-    def _write_through(self, client: int, offset: int, nbytes: int, trace):
-        """Write-through mode: commit to disk first, cache clean after."""
-        bs = self.block_size
-        t0 = self.env.now
-        yield from self.engine.execute_write(client, offset, nbytes, trace)
-        blocks = [b for b, _intra, _take in split_into_blocks(
-            offset, nbytes, bs
-        )]
+                for run in coalesce_runs(fill_blocks, len(fill_blocks) or 1):
+                    yield from self.engine.execute_read(
+                        client, run.start_block * bs, run.n_blocks * bs,
+                        trace,
+                    )
+                    for b in run.blocks:
+                        cache.fill(b)
+                for block, intra, take in pieces:
+                    verdict = cache.admit_write(
+                        block, full_block=(intra == 0 and take == bs)
+                    )
+                    if verdict is WriteAdmission.ABSORBED:
+                        absorbed += 1
+                    else:
+                        dirtied += 1
+                # One local copy lands the payload in the cache.
+                yield self.engine.cluster.nodes[client].cpu.memcpy(nbytes)
+        finally:
+            self._active -= 1
+        blocks = [p[0] for p in pieces]
         self._invalidate_peers(client, blocks)
-        for b in blocks:
-            self.directory.note_cached(client, b)
         tracer = _obs.TRACER
-        if tracer.enabled:
-            tracer.record(
-                CACHE_LOOKUP, f"node{client}.cache", t0, self.env.now,
-                trace=trace, op="write", mode="writethrough",
-                blocks=len(blocks),
-            )
+        if writeback:
+            if tracer.enabled:
+                tracer.record(
+                    CACHE_LOOKUP, f"node{client}.cache", t0, self.env.now,
+                    trace=trace, op="write", dirtied=dirtied,
+                    absorbed=absorbed, fills=len(fill_blocks),
+                )
+        else:
+            for b in blocks:
+                self.directory.note_cached(client, b)
+            if tracer.enabled:
+                tracer.record(
+                    CACHE_LOOKUP, f"node{client}.cache", t0, self.env.now,
+                    trace=trace, op="write", mode="writethrough",
+                    blocks=len(blocks),
+                )
+        self._maybe_destage(client, trace)
 
     def _invalidate_peers(self, client: int, blocks: List[int]) -> None:
         """The write-invalidate protocol: one fire-and-forget control
@@ -252,7 +243,6 @@ class CacheStage:
         :meth:`BlockCache.destage_lost`."""
         cache = self.caches[client]
         bs = self.block_size
-        cdd = self.engine.cdd(client)
         tracer = _obs.TRACER
         try:
             for run in runs:
@@ -263,22 +253,15 @@ class CacheStage:
                     if cache.state_of(b) is BlockState.DIRTY
                 ]
                 for sub in coalesce_runs(live, len(live) or 1):
-                    yield from self._destage_run(
-                        client, cache, cdd, sub, bs, tracer, trace
+                    cache.begin_destage(list(sub.blocks))
+                    yield from self._write_back(
+                        client, cache, sub, bs, tracer, trace, split=True
                     )
         finally:
             self._destaging[client] = False
 
-    def _destage_run(
-        self, client, cache, cdd, run: DestageRun, bs, tracer, trace
-    ):
-        cache.begin_destage(list(run.blocks))
-        yield from self._write_back(
-            client, cache, cdd, run, bs, tracer, trace, split=True
-        )
-
     def _write_back(
-        self, client, cache, cdd, run: DestageRun, bs, tracer, trace,
+        self, client, cache, run: DestageRun, bs, tracer, trace,
         split: bool,
     ):
         """Write one run of DESTAGING blocks back through the engine.
@@ -294,9 +277,9 @@ class CacheStage:
         t0 = self.env.now
         failed = False
         try:
-            yield from cdd.cache_destage(
-                self.engine, client, run.start_block * bs,
-                run.n_blocks * bs, trace, wctx,
+            yield from self.engine.execute_write(
+                client, run.start_block * bs, run.n_blocks * bs, trace,
+                wctx,
             )
         except DiskFailedError as e:
             self.engine.failed_disks.add(e.disk_id)
@@ -310,8 +293,8 @@ class CacheStage:
         elif split and len(blocks) > 1:
             for b in blocks:
                 yield from self._write_back(
-                    client, cache, cdd, DestageRun(b, (b,)), bs,
-                    tracer, trace, split=False,
+                    client, cache, DestageRun(b, (b,)), bs, tracer, trace,
+                    split=False,
                 )
         else:
             cache.destage_lost(blocks)

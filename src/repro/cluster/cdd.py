@@ -57,10 +57,6 @@ class CooperativeDiskDriver:
         self.served_remote_ops = 0
         #: Ops this CDD's client module issued (local + remote).
         self.issued_ops = 0
-        #: Buffer-cache traffic routed through this CDD (fills are
-        #: block-aligned miss/RMW reads; destages are dirty write-backs).
-        self.cache_fill_ops = 0
-        self.cache_destage_ops = 0
 
     @property
     def node_id(self) -> int:
@@ -131,34 +127,6 @@ class CooperativeDiskDriver:
         return self.node.env.process(
             self.block_io(op, disk, offset, nbytes, priority, trace, ctx)
         )
-
-    # -- buffer-cache routing ----------------------------------------------
-    # These route a request and hand back what the caller yields (a
-    # link hold) or runs (``yield from``) at once, adding no generator
-    # frame of their own to every resume of the request.
-    def cache_copy(self, nbytes: int) -> float:
-        """Serve bytes from this node's buffer cache — one local memory
-        copy, no disk or network traffic; returns the hold to yield.
-        (The fast path prices the same copy in closed form via
-        ``Node.ff_claim_cpu``.)"""
-        return self.node.cpu.memcpy(nbytes)
-
-    def cache_fill(self, engine, client: int, offset: int, nbytes: int,
-                   trace=None):
-        """Route one cache fill (read-miss service or a read-modify-write
-        fill) down the planner/engine read path; returns its process
-        generator."""
-        self.cache_fill_ops += 1
-        return engine.execute_read(client, offset, nbytes, trace)
-
-    def cache_destage(self, engine, client: int, offset: int, nbytes: int,
-                      trace=None, wctx=None):
-        """Route one destage write-back down the planner/engine write
-        path; returns its process generator.  ``wctx`` carries the
-        RMW-absorbed block set to the parity planner."""
-        self.cache_destage_ops += 1
-        return engine.execute_write(client, offset, nbytes, trace,
-                                    wctx=wctx)
 
     # -- storage manager -----------------------------------------------------
     def _manage(

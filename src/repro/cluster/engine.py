@@ -27,11 +27,10 @@ from repro.errors import DataLossError, DiskFailedError, ReproError
 from repro.hardware.node import FFSpanSynth
 from repro.io.context import PieceContext
 from repro.obs import runtime as _obs
-from repro.obs.trace import LOCK_WAIT, MIRROR_FLUSH, REQUEST
+from repro.obs.trace import LOCK_WAIT, MIRROR_FLUSH
 from repro.raid.layout import Placement
 from repro.raid.plan import (
     ImageExtent,
-    IOPlan,
     OrthogonalWrite,
     ParallelWrite,
     ParityWrite,
@@ -109,8 +108,8 @@ class _PhaseRelease:
 
 class _FastFinish:
     """Completion hook for a fast-forwarded request: the byte accounting
-    that :meth:`ExecutionEngine.run`'s epilogue performs at the same
-    simulated instant on the phase path.  It also names the request, so
+    that the phase path's epilogue (``StorageSystem.end_request``)
+    performs at the same simulated instant.  It also names the request, so
     a disk failure inside the priced window can hand the read to the
     retry (:meth:`ExecutionEngine.ff_disk_failed`)."""
 
@@ -396,72 +395,62 @@ class ExecutionEngine:
 
     # -- top-level request path --------------------------------------------
     def run(self, client: int, op: str, offset: int, nbytes: int):
-        """The process generator that plans and executes one request.
+        """The process generator that executes one request: the single
+        request path, cached or not (DESIGN §6.12).
 
-        With a cache attached, that is the admission/lookup stage's
-        (``CacheStage.run_request``), which calls back into
-        :meth:`execute_read`/:meth:`execute_write` for fills and
-        destages; without one, :meth:`_run` — the pre-cache engine,
-        event for event.
+        With a cache attached the stage's :meth:`CacheStage.read` or
+        :meth:`CacheStage.write` body serves the request, calling back
+        into :meth:`execute_read`/:meth:`execute_write` for fills,
+        write-through commits and destages; without one the request runs
+        its plan directly, event for event the pre-cache engine.  An
+        uncached zero-length request has no pieces: it allocates no trace
+        id and records nothing.  Every other request ends in
+        :meth:`StorageSystem.end_request` — bytes when it completes, the
+        ``REQUEST`` span either way.
         """
-        if self.cache is not None:
-            return self.cache.run_request(client, op, offset, nbytes)
-        return self._run(client, op, offset, nbytes)
-
-    def _run(self, client: int, op: str, offset: int, nbytes: int):
-        if op == "read":
-            # A read needs only its pieces (DESIGN §6.12).
-            plan = None
-            pieces = self.planner.pieces_for(offset, nbytes)
-        else:
-            plan = self.planner.plan(op, offset, nbytes, self.failed_disks)
-            pieces = plan.pieces
-        if not pieces:
+        cache = self.cache
+        if cache is None and not nbytes:
             return
         tracer = _obs.TRACER
         trace = tracer.new_trace() if tracer.enabled else None
         t0 = self.env.now
-        handle = None
-        if self.system.locking and plan is not None:
-            handle = yield from self.cdd(client).acquire_write_locks(
-                list(plan.lock_blocks), trace=trace
-            )
+        done = False
         try:
-            if plan is None:
-                yield from self._run_read(client, pieces, trace)
-                self.system.bytes_read += nbytes
+            if cache is not None:
+                if op == "read":
+                    yield from cache.read(client, offset, nbytes, trace)
+                else:
+                    yield from cache.write(client, offset, nbytes, trace)
+            elif op == "read":
+                yield from self.execute_read(client, offset, nbytes, trace)
             else:
-                yield from self._run_write(client, plan, trace)
-                self.system.bytes_written += nbytes
+                yield from self.execute_write(client, offset, nbytes, trace)
+            done = True
         finally:
-            if handle is not None:
-                yield from self.cdd(client).release_write_locks(
-                    handle, trace=trace
-                )
-            if tracer.enabled:
-                tracer.record(
-                    REQUEST, f"node{client}.request", t0, self.env.now,
-                    trace=trace, op=op, offset=offset, nbytes=nbytes,
-                    arch=self.system.name,
-                )
+            self.system.end_request(client, op, offset, nbytes, t0, trace,
+                                    done)
 
-    # -- cache-stage back-ends ---------------------------------------------
     def execute_read(self, client: int, offset: int, nbytes: int, trace):
-        """Process generator: plan + run one read below the cache stage
-        (miss service and RMW fills) — no REQUEST span, no byte
-        accounting; the stage owns both."""
-        pieces = self.planner.pieces_for(offset, nbytes)
-        if pieces:
-            yield from self._run_read(client, pieces, trace)
+        """The process generator reading ``nbytes > 0`` at ``offset``:
+        its pieces concurrently — a request's read, or a cache fill.
+
+        A read needs only its pieces (DESIGN §6.12).  Returns
+        ``Environment.fan_out``'s generator, so the caller's ``yield
+        from`` adds no frame of this method's own.
+        """
+        return self.env.fan_out([
+            self._read_piece(client, piece, trace)
+            for piece in self.planner.pieces_for(offset, nbytes)
+        ])
 
     def execute_write(
         self, client: int, offset: int, nbytes: int, trace,
         wctx: Optional[WriteContext] = None,
     ):
-        """Process generator: plan + run one write below the cache stage
-        (write-through commits and destages).  ``wctx`` carries the
-        RMW-absorbed block set to the planner; lock acquisition and
-        guaranteed release match :meth:`run`'s write path."""
+        """Process generator: plan, lock and run one write — a request's
+        write, a write-through commit or a destage.  ``wctx`` carries the
+        RMW-absorbed block set to the planner; the write locks are
+        released even when the write fails."""
         plan = self.planner.plan(
             "write", offset, nbytes, self.failed_disks, wctx=wctx
         )
@@ -473,7 +462,19 @@ class ExecutionEngine:
                 list(plan.lock_blocks), trace=trace
             )
         try:
-            yield from self._run_write(client, plan, trace)
+            action = plan.action
+            if isinstance(action, ParallelWrite):
+                yield from self._exec_parallel(client, action, trace)
+            elif isinstance(action, SerialWrite):
+                yield from self._exec_serial(client, action, trace)
+            elif isinstance(action, ParityWrite):
+                yield from self._exec_parity(client, action, trace)
+            elif isinstance(action, OrthogonalWrite):
+                yield from self._exec_orthogonal(client, action, trace)
+            else:  # pragma: no cover - planner/engine contract violation
+                raise NotImplementedError(
+                    f"no executor for plan node {type(action).__name__}"
+                )
         finally:
             if handle is not None:
                 yield from self.cdd(client).release_write_locks(
@@ -516,12 +517,6 @@ class ExecutionEngine:
             return self._balance(candidates)
         return candidates[0]
 
-    def _run_read(self, client: int, pieces: List[Piece], trace):
-        """The process generator reading ``pieces`` concurrently."""
-        return self.env.fan_out(
-            [self._read_piece(client, piece, trace) for piece in pieces]
-        )
-
     def _read_piece(self, client: int, piece: Piece, trace=None):
         """Read one piece, retrying on mid-flight disk failures.
 
@@ -563,21 +558,6 @@ class ExecutionEngine:
         yield self.cluster.nodes[client].cpu.xor(rplan.xor_bytes)
 
     # -- writes ------------------------------------------------------------
-    def _run_write(self, client: int, plan: IOPlan, trace):
-        action = plan.action
-        if isinstance(action, ParallelWrite):
-            yield from self._exec_parallel(client, action, trace)
-        elif isinstance(action, SerialWrite):
-            yield from self._exec_serial(client, action, trace)
-        elif isinstance(action, ParityWrite):
-            yield from self._exec_parity(client, action, trace)
-        elif isinstance(action, OrthogonalWrite):
-            yield from self._exec_orthogonal(client, action, trace)
-        else:  # pragma: no cover - planner/engine contract violation
-            raise NotImplementedError(
-                f"no executor for plan node {type(action).__name__}"
-            )
-
     def _check_copies(self, copies) -> None:
         """Raise when every copy of any block sits on a failed disk."""
         for cs in copies:
