@@ -9,6 +9,7 @@ one switch: a system built without it has no cache stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from repro.errors import ConfigurationError
 
@@ -42,7 +43,10 @@ class CacheConfig:
     track_blocks: bool = False
 
     def __post_init__(self) -> None:
-        if self.capacity_blocks <= 0:
+        """Reject a malformed config at construction.  The two block
+        counts must be integers (else :class:`TypeError`, NaN included,
+        as the submit contract checks request sizes) and positive."""
+        if index(self.capacity_blocks) <= 0:
             raise ConfigurationError("cache capacity must be positive")
         if self.mode not in MODES:
             raise ConfigurationError(
@@ -60,7 +64,7 @@ class CacheConfig:
             )
         if not 0.0 < self.dirty_fraction <= 1.0:
             raise ConfigurationError("dirty_fraction must be in (0, 1]")
-        if self.destage_batch <= 0:
+        if index(self.destage_batch) <= 0:
             raise ConfigurationError("destage_batch must be positive")
 
     @property

@@ -101,3 +101,22 @@ def test_config_validation():
     cfg = CacheConfig(capacity_blocks=100, dirty_fraction=0.5)
     assert cfg.threshold_blocks == 50
     assert cfg.writeback
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("capacity_blocks", float("nan")),
+        ("capacity_blocks", 2.5),
+        ("capacity_blocks", 64.0),
+        ("destage_batch", float("nan")),
+        ("destage_batch", 0.5),
+        ("destage_batch", 8.0),
+    ],
+)
+def test_config_rejects_non_integral_sizes(field, value):
+    """A block count that is not an integer is a TypeError at
+    construction, not a crash (or a silently fractional cache) later in
+    ``build_cluster``."""
+    with pytest.raises(TypeError):
+        CacheConfig(**{field: value})
