@@ -12,7 +12,11 @@ untraced, with the node fast-forward on and off:
 
 * the total pop count (``env.processed_events``);
 * the elapsed time and each client's finish time as float hex;
-* a sha256 of the canonical ``collect_load`` payload.
+* how many requests took the fast and the event-driven path
+  (``ExecutionEngine.fast_submits``/``phase_submits``; ``None`` on NFS);
+* a sha256 of the canonical ``collect_load`` payload without its
+  host-side counters (:data:`HOST_COUNTERS`), so the hash pins
+  simulated load only.
 
 Twelve clients keep the fabric's incast model active (its threshold is
 six in-flight senders per receive port).  An added ``yield 0`` in a
@@ -204,6 +208,22 @@ def _cached_key(case: str, node_ff: bool) -> str:
     return f"cached/{case}/ff{int(node_ff)}"
 
 
+#: ``collect_load`` counters that record which path served a request
+#: or how the fast path's plan memo fared, not what was simulated; the
+#: load hash leaves them out (the submit counts are pinned as fields).
+HOST_COUNTERS = (
+    "load.fast_submits", "load.phase_submits", "load.ff_plan_evictions",
+)
+
+
+def load_payload(cluster) -> dict:
+    """The ``collect_load`` payload minus :data:`HOST_COUNTERS`."""
+    payload = collect_load(cluster).to_payload()
+    for name in HOST_COUNTERS:
+        payload["counters"].pop(name, None)
+    return payload
+
+
 def _canonical(obj):
     if isinstance(obj, float):
         return obj.hex()
@@ -222,15 +242,18 @@ def run_point(arch: str, workload: str, node_ff: bool) -> dict:
         storage.node_ff = node_ff
     result = wl.run()
     payload = json.dumps(
-        _canonical(collect_load(cluster).to_payload()),
+        _canonical(load_payload(cluster)),
         sort_keys=True, separators=(",", ":"),
     )
+    engine = getattr(storage, "engine", None)
     return {
         "processed_events": cluster.env.processed_events,
         "elapsed": result.elapsed.hex(),
         "per_client_finish": [
             result.per_client_finish[c].hex() for c in range(CLIENTS)
         ],
+        "fast_submits": engine.fast_submits if engine else None,
+        "phase_submits": engine.phase_submits if engine else None,
         "load_sha256": hashlib.sha256(payload.encode()).hexdigest(),
     }
 
@@ -282,6 +305,9 @@ def test_pops_and_times_match_golden(golden, arch, workload, node_ff):
     )
     assert got["elapsed"] == want["elapsed"], "elapsed time drifted"
     assert got["per_client_finish"] == want["per_client_finish"]
+    assert (got["fast_submits"], got["phase_submits"]) == (
+        want["fast_submits"], want["phase_submits"]
+    ), "requests changed path"
     assert got["load_sha256"] == want["load_sha256"], (
         "collect_load payload drifted"
     )
