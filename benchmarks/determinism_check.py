@@ -3,11 +3,14 @@
 Runs the Fig. 5 bandwidth sweep and the A7 degraded-mode sweep at a
 fraction of their benchmark scale and prints one canonical JSON line
 per measurement row, with every float rendered as ``float.hex()`` so
-no drift can hide behind decimal rounding.  CI runs this twice and
-diffs the outputs: the simulator is seeded and single-threaded, so a
-single changed byte means a nondeterministic code path (iteration over
-an unordered set, an id()-keyed dict, a wall-clock read) crept into
-the I/O stack.
+no drift can hide behind decimal rounding.  The tier-1 test
+``tests/cluster/test_engine_equivalence.py::test_reduced_rows_match_golden``
+compares these rows, with the node fast-forward off and on, to the
+committed ``benchmarks/golden_fig5_reduced.txt``.  The simulator is
+seeded and single-threaded, so a single changed byte means either a
+change of simulated behaviour or a nondeterministic code path
+(iteration over an unordered set, an id()-keyed dict, a wall-clock
+read) in the I/O stack.
 
 Each row also carries ``completions``, a sha256 over every request's
 completion time in completion order.  A request off the critical path
@@ -32,7 +35,7 @@ from repro.units import KiB
 from repro.workloads.parallel_io import ParallelIOWorkload
 
 # Reduced scale: 2 client counts x 2 workloads x 4 archs (vs. the full
-# 5 x 4 x 4 grid) keeps the two CI runs under a couple of minutes.
+# 5 x 4 x 4 grid) keeps each golden comparison under a second.
 FIG5_CLIENTS = (1, 4)
 FIG5_WORKLOADS = ("large_read", "small_write")
 
