@@ -20,8 +20,8 @@ engine's request admission and plan execution (DESIGN §6.17):
 This package is *pure bookkeeping*: no simulator imports, no process
 generators, no hardware — the cluster-layer
 :class:`~repro.cluster.cache_stage.CacheStage` owns all timing.  The
-CACHE lint family (:mod:`repro.lint.rules_cache`) enforces both
-directions of that boundary.  Caching is opt-in per system (the
+ARCH lint rules (:mod:`repro.lint.rules_arch`) enforce both directions
+of that boundary.  Caching is opt-in per system (the
 ``cache=`` argument), and a system built without it stays
 byte-identical to the golden captures.
 """

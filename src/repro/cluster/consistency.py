@@ -15,7 +15,7 @@ grant traffic uses small control messages at kernel level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.message import ACK_BYTES, MessageKind
 from repro.errors import LockProtocolError
@@ -68,9 +68,6 @@ class LockGroupTable:
     def holder(self, group: int) -> Optional[int]:
         rec = self._records.get(group)
         return rec.owner_node if rec else None
-
-    def held_groups(self) -> Set[int]:
-        return set(self._records)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -89,7 +89,3 @@ class FaultInjector:
                 and self.log.data_loss_at is None
             ):
                 self.log.data_loss_at = env.now
-
-    @property
-    def failed_now(self) -> set:
-        return set(self.cluster.storage.failed_disks)

@@ -13,36 +13,32 @@ Rule families (see each module's docstring for the full rationale):
   yields, numeric-yield sleeps on the hot path.
 * **LOCK** (:mod:`repro.lint.rules_lock`) — the paper's atomic
   grant/release: every lock acquire releases on all paths.
-* **OBS** (:mod:`repro.lint.rules_obs`) — tracing discipline: runtime
-  slot only, open spans always closed.
+* **OBS** (:mod:`repro.lint.rules_obs`) — tracing discipline: tracers
+  live in the runtime slot, and only ``repro.obs.runtime`` writes it.
 * **ARCH** (:mod:`repro.lint.rules_arch`) — import layering, the
-  Disk/ScsiBus boundary, cycle detection.
+  Disk/ScsiBus boundary, cycle detection, and the purity of the
+  planners and of the ``repro.cache`` bookkeeping package.
 * **FF** (:mod:`repro.lint.rules_ff`) — the fast-forward legality
   contract: guard-state mutations only at owning sites, float-only
   pricing, ``ff_preload`` downstream of ``ff_ready``.
-* **CACHE** (:mod:`repro.lint.rules_cache`) — the buffer-cache layer
-  boundary: no layer below the engine imports ``repro.cache``, and the
-  cache package itself stays pure bookkeeping.
 * **LINT** (:mod:`repro.lint.rules_lint`) — stale suppressions.
 
-The SIM taint, LOCK, OBS span, and FF families are *interprocedural*:
-they share one project call graph (:mod:`repro.lint.callgraph`) and
-per-function summary tables (:mod:`repro.lint.summaries`), so a
-violation hidden one call deep — a wall-clock read in a helper, a lock
-released in a callee, a guard-state write in a function nobody guards —
-is caught at the boundary where it matters.
+The SIM taint, LOCK and FF families are *interprocedural*: they share
+one project call graph (:mod:`repro.lint.callgraph`), and SIM005 and
+LOCK read per-function summary tables (:mod:`repro.lint.summaries`), so
+a violation hidden one call deep — a wall-clock read in a helper, a
+lock released in a callee, a guard-state write in a function nobody
+guards — is caught at the boundary where it matters.
 
-Baseline: findings whose fingerprints appear in ``lint-baseline.json``
-are grandfathered (reported but not fatal).  The repo's committed
-baseline is **empty** and should stay that way — fix the finding or
-justify a line-scoped ``# lint: ignore[CODE]`` instead.
+Any finding fails the run.  The one escape hatch is a line-scoped
+``# lint: ignore[CODE]`` with a reason next to it, and LINT001 reports
+one that no longer suppresses anything.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.lint.baseline import load_baseline, split_by_baseline
 from repro.lint.core import (
     Finding,
     ModuleInfo,
@@ -52,7 +48,6 @@ from repro.lint.core import (
     run_rules,
 )
 from repro.lint.rules_arch import RULES as ARCH_RULES
-from repro.lint.rules_cache import RULES as CACHE_RULES
 from repro.lint.rules_ff import RULES as FF_RULES
 from repro.lint.rules_lint import RULES as LINT_RULES
 from repro.lint.rules_lock import RULES as LOCK_RULES
@@ -68,7 +63,6 @@ ALL_RULES = (
     + tuple(OBS_RULES)
     + tuple(ARCH_RULES)
     + tuple(FF_RULES)
-    + tuple(CACHE_RULES)
     + tuple(LINT_RULES)
 )
 
@@ -103,8 +97,6 @@ __all__ = [
     "Rule",
     "lint_paths",
     "lint_sources",
-    "load_baseline",
     "load_modules",
     "run_rules",
-    "split_by_baseline",
 ]

@@ -1,7 +1,7 @@
 """CLI: ``python -m repro.lint [paths] [--format text|json] ...``.
 
-Exit status: 0 when every finding is baselined (or none), 1 when any
-non-baselined finding exists, 2 on usage errors.
+Exit status: 0 when there is no finding, 1 when there is any, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -13,22 +13,15 @@ from collections import Counter
 from typing import Sequence
 
 from repro.lint import ALL_RULES, lint_paths
-from repro.lint.baseline import (
-    load_baseline,
-    prune_baseline,
-    split_by_baseline,
-    write_baseline,
-)
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Simulator-aware static analysis for the RAID-x repro "
-        "(SIM determinism, LOCK release-on-all-paths, OBS tracing "
-        "discipline, ARCH layering).",
+        "(SIM determinism, LOCK release-on-all-paths, OBS tracer slot, "
+        "ARCH layering and purity, FF fast-forward legality, LINT stale "
+        "suppressions).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
@@ -43,20 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule or family prefixes, e.g. SIM,LOCK001",
     )
     parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline file of grandfathered fingerprints "
-        f"(default: {DEFAULT_BASELINE}; missing file = empty baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write every current finding to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="drop baseline fingerprints that no longer match any "
-        "finding (stale grandfathering), then exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the registered rules and exit",
     )
@@ -68,7 +47,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.list_rules:
         for rule in ALL_RULES:
-            print(f"{rule.code:8} {rule.summary}")
+            print(f"{', '.join(rule.codes()):16} {rule.summary}")
         return 0
 
     select = (
@@ -78,56 +57,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     findings = lint_paths(args.paths, select=select)
 
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(
-            f"wrote {len(findings)} fingerprint(s) to {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.prune_baseline:
-        kept, dropped = prune_baseline(args.baseline, findings)
-        print(
-            f"pruned {dropped} stale fingerprint(s) from {args.baseline} "
-            f"({kept} kept)",
-            file=sys.stderr,
-        )
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    new, grandfathered = split_by_baseline(findings, baseline)
-
     if args.format == "json":
         payload = {
             "version": 1,
             "tool": "repro.lint",
             "select": select or [],
-            "findings": [f.to_dict() for f in new],
-            "baselined": [f.to_dict() for f in grandfathered],
+            "findings": [f.to_dict() for f in findings],
             "summary": {
-                "findings": len(new),
-                "baselined": len(grandfathered),
-                "by_rule": dict(Counter(f.rule for f in new)),
+                "findings": len(findings),
+                "by_rule": dict(Counter(f.rule for f in findings)),
             },
         }
         print(json.dumps(payload, indent=2))
     else:
-        for f in new:
+        for f in findings:
             print(f.render())
-        for f in grandfathered:
-            print(f"{f.render()}  [baselined]")
-        if new:
-            print(
-                f"\n{len(new)} finding(s)"
-                + (f", {len(grandfathered)} baselined" if grandfathered else "")
-            )
-        else:
-            print(
-                "clean"
-                + (f" ({len(grandfathered)} baselined)" if grandfathered else "")
-            )
-    return 1 if new else 0
+        print(f"\n{len(findings)} finding(s)" if findings else "clean")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

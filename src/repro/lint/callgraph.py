@@ -24,7 +24,7 @@ does this call reach?*  This module builds it once per lint run from the
   stay O(functions).
 
 The graph is memoized per module set (:func:`get_callgraph`), so the
-four rule families that consume it share one build.
+SIM, LOCK and FF rules that consume it share one build.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ class CallGraph:
 
 
 #: One-slot memo: run_rules hands every rule the same module list, so
-#: the four interprocedural families share one graph build.  The cached
+#: the interprocedural rules share one graph build.  The cached
 #: CallGraph holds strong references to its ModuleInfos (via
 #: FunctionInfo.mod), so the id()-based key cannot be recycled while the
 #: entry is alive.

@@ -1,9 +1,9 @@
 """Intraprocedural release-on-all-paths ("lockset") analysis.
 
-Both the LOCK and OBS families need the same question answered: *a
-resource was acquired here — is it provably released on every path out
-of the function, including the exception paths?*  This module answers it
-with a small abstract interpreter over the statement AST:
+The LOCK family asks one question: *a lock was acquired here — is it
+provably released on every path out of the function, including the
+exception paths?*  This module answers it with a small abstract
+interpreter over the statement AST:
 
 * the abstract state is the set of *held tokens* (local names bound by a
   recognized acquire call);
@@ -39,9 +39,10 @@ cross-function modes (driven by :mod:`repro.lint.summaries`):
   sites onto callee summaries: passing a held token to a ``releases``
   callee credits the release, a ``keeps`` callee leaves it held (so a
   later leak is still caught), a ``mixed`` callee is itself reported
-  (the LOCK003 class), and a call that ``returns_acquired`` counts as
-  an acquire.  Unresolved calls keep the old ownership-transfer
-  behavior, so intraprocedural results are unchanged.
+  at the call (a LOCK001 finding), and a call that ``returns_acquired``
+  counts as an acquire.  Unresolved calls keep the old
+  ownership-transfer behavior, so intraprocedural results are
+  unchanged.
 """
 
 from __future__ import annotations
@@ -53,21 +54,13 @@ from typing import Callable, Iterator, Optional
 State = frozenset  # of held token names
 
 
-@dataclass(frozen=True)
-class ResourceSpec:
-    """What counts as acquire/release for one resource kind."""
-
-    #: method names whose call result is a held token
-    acquire_methods: frozenset
-    #: method names that release a token passed as an argument
-    #: (``obj.release(tok)``) or called on the token (``tok.close()``)
-    release_methods: frozenset
-    #: human noun used in messages ("lock", "span")
-    noun: str
-    #: finding code for a leak
-    leak_code: str
-    #: finding code for a discarded acquire result (no token to release)
-    discard_code: str
+#: Method names whose call result is a held lock token
+#: (``Mutex.acquire``, ``DistributedLockManager.acquire``,
+#: ``CooperativeDiskDriver.acquire_write_locks``).
+ACQUIRE_METHODS = frozenset({"acquire", "acquire_write_locks"})
+#: Method names that release a token passed as an argument
+#: (``obj.release(tok)``) or called on the token (``tok.release()``).
+RELEASE_METHODS = frozenset({"release", "release_write_locks"})
 
 
 #: Parameter fates a summary can assign (see the module docstring).
@@ -120,12 +113,10 @@ class FunctionAnalysis:
     def __init__(
         self,
         func: ast.AST,
-        spec: ResourceSpec,
         resolver: Resolver | None = None,
         initial: tuple = (),
     ):
         self.func = func
-        self.spec = spec
         #: call-site -> callee LockSummary (interprocedural mode only).
         self.resolver = resolver
         #: token names held on entry (summary mode seeds the parameters).
@@ -208,7 +199,7 @@ class FunctionAnalysis:
         if (
             isinstance(expr, ast.Call)
             and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr in self.spec.acquire_methods
+            and expr.func.attr in ACQUIRE_METHODS
         ):
             return expr
         if self.resolver is not None and isinstance(expr, ast.Call):
@@ -243,7 +234,7 @@ class FunctionAnalysis:
                 yield kw.value.id, fate, summary.qualname
 
     def _released_tokens(self, stmt: ast.stmt, state: State) -> set:
-        """Tokens released by ``stmt`` (``obj.release(tok)`` / ``tok.close()``
+        """Tokens released by ``stmt`` (``obj.release(tok)`` / ``tok.release()``
         / a held token passed to a callee summarized as ``releases``)."""
         released = set()
         if not state:
@@ -254,9 +245,9 @@ class FunctionAnalysis:
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr in self.spec.release_methods
+                and func.attr in RELEASE_METHODS
             ):
-                # tok.close() style: the receiver is the token itself.
+                # tok.release() style: the receiver is the token itself.
                 if isinstance(func.value, ast.Name) and func.value.id in state:
                     released.add(func.value.id)
                 # obj.release(tok) style: the token rides as an argument.
@@ -292,7 +283,7 @@ class FunctionAnalysis:
                     continue
                 if (
                     isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self.spec.release_methods
+                    and node.func.attr in RELEASE_METHODS
                 ):
                     continue
                 for tok, fate, callee in self._summary_token_fates(node, state):
@@ -630,26 +621,3 @@ class FunctionAnalysis:
             for s in through({state}):
                 nxt.raise_.append((node, s))
         return nxt
-
-
-def find_resource_leaks(
-    tree: ast.AST, spec: ResourceSpec
-) -> Iterator[tuple[str, ast.AST]]:
-    """Yield ``(kind, node)`` pairs: ``leak`` at acquire sites that may
-    not be released on all paths, ``discard`` at acquires whose handle is
-    dropped on the floor."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            mentions = any(
-                isinstance(n, ast.Attribute)
-                and n.attr in spec.acquire_methods
-                for n in ast.walk(node)
-            )
-            if not mentions:
-                continue
-            analysis = FunctionAnalysis(node, spec)
-            analysis.run()
-            for site in analysis.leaks.values():
-                yield "leak", site
-            for site in analysis.discards:
-                yield "discard", site

@@ -4,14 +4,13 @@ The analyzer parses every target file once, wraps it in a
 :class:`ModuleInfo` (path, dotted module name, AST, source lines, import
 table), and runs two kinds of rules over the result:
 
-* :class:`Rule` — examines one module's AST at a time (the SIM, LOCK and
-  OBS families);
-* :class:`ProjectRule` — examines the whole module set at once (the ARCH
-  family: layering and cycles need the import *graph*, not one file).
+* :class:`Rule` — examines one module's AST at a time (the literal SIM
+  checks and the OBS family);
+* :class:`ProjectRule` — examines the whole module set at once (import
+  layering and cycles need the import *graph*, and the interprocedural
+  rules need the call graph, not one file).
 
-Findings are plain value objects with a stable ``fingerprint`` so a
-committed baseline can grandfather known findings (the repo targets an
-*empty* baseline; see ``lint-baseline.json``).
+Findings are plain value objects; any finding fails the run.
 
 Suppression: append ``# lint: ignore`` (or ``# lint: ignore[SIM001]``)
 to the offending line.  Suppressions are deliberately line-scoped —
@@ -64,11 +63,6 @@ class Finding:
     col: int
     message: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselining (``rule::path::line::col``)."""
-        return f"{self.rule}::{self.path}::{self.line}::{self.col}"
-
     def to_dict(self) -> dict:
         return {
             "rule": self.rule,
@@ -76,7 +70,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:
@@ -233,6 +226,10 @@ class Rule:
 
     code: str = ""
     summary: str = ""
+
+    def codes(self) -> tuple[str, ...]:
+        """Every finding code this rule reports."""
+        return (self.code,)
 
     def check(self, mod: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError

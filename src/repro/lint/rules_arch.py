@@ -5,32 +5,35 @@ software: the DES kernel (``sim``) at the bottom knows nothing above it;
 device models (``hardware``, ``io``) sit on the kernel; the CDD/SIOS
 layer (``cluster``) owns every hardware object; placement math
 (``raid``), observability (``obs``) and the buffer-cache bookkeeping
-(``cache``, whose own CACHE rules live in
-:mod:`repro.lint.rules_cache`) are freestanding utilities; and
-everything application-shaped (``fs``, ``checkpoint``, ``workloads``,
-``fault``, ``analysis``, ``bench``) stacks on top.  Only module-level
-imports count — lazy function-level imports and ``TYPE_CHECKING`` blocks
-are the sanctioned cycle-breakers and are exempt.
+(``cache``) are freestanding utilities; and everything
+application-shaped (``fs``, ``checkpoint``, ``workloads``, ``fault``,
+``analysis``, ``bench``) stacks on top.  Only module-level imports
+count — lazy function-level imports and ``TYPE_CHECKING`` blocks are
+the sanctioned cycle-breakers and are exempt — except an import of
+``repro.cache``: the cache is an engine-level stage, and a layer below
+the engine that needs cache state receives it as plain data (e.g.
+:class:`repro.raid.plan.WriteContext`), never reaches up for it, not
+even lazily.
 
-The plan/execute split adds one finer-grained contract on top of the
-package table: ``repro.raid.plan`` and ``repro.raid.planners`` are the
-*pure* half of the I/O path.  They may see only placement math and the
-base modules — never the sim kernel, hardware models, or the cluster
-layer, not even lazily — and they must not contain ``yield``: a planner
-that becomes a process generator has smuggled execution into planning.
-(The executing half, ``repro.cluster.engine``, is an ordinary
-``cluster`` module and follows the table above.)
+Two module sets are *pure* — data in, data out — and :data:`PURE_MODULES`
+names what each may import, lazily or not: the planners
+(``repro.raid.plan``/``planners``, the pure half of the plan/execute
+split) see only placement math, and ``repro.cache`` (pure bookkeeping,
+whose timing lives in ``repro.cluster.cache_stage``) sees only itself.
+Neither may contain ``yield``: a planner or a cache structure that
+becomes a process generator has smuggled execution into bookkeeping.
 
 ========  ==============================================================
 ARCH001   a package imports a layer it must not see (e.g. ``sim``
-          importing anything, ``hardware`` importing ``cluster``)
+          importing anything, ``hardware`` importing ``cluster``, a
+          layer below the engine importing ``repro.cache`` even lazily)
 ARCH002   ``Disk``/``ScsiBus`` reached directly from outside the
           hardware/cluster boundary — all disk access goes through the
           CDD / single-I/O-space path
 ARCH003   an import cycle among modules (module-level imports only)
-ARCH004   a planner module (``repro.raid.plan``/``planners``) imports
-          outside raid + base modules (even lazily) or contains a
-          ``yield`` — planners are pure, the engine executes
+ARCH004   a pure module (planners, ``repro.cache``) imports outside its
+          own package and the base modules (even lazily) or contains a
+          ``yield``
 ========  ==============================================================
 """
 
@@ -107,14 +110,15 @@ class ArchLayeringRule(ProjectRule):
             if allowed is None:
                 continue
             for imported, _name, lineno, top in mod.repro_imports:
-                if not top:
-                    continue  # lazy imports are the sanctioned escape
                 dst = _dest_package(imported)
                 if (
                     dst is None
                     or dst == src_pkg
                     or dst in BASE_MODULES
                     or dst in allowed
+                    # Lazy imports are the sanctioned escape, except
+                    # into the engine-level cache stage.
+                    or (not top and dst != "cache")
                 ):
                     continue
                 yield Finding(
@@ -183,46 +187,55 @@ class ArchCycleRule(ProjectRule):
             )
 
 
-#: The pure half of the plan/execute split.  These modules describe I/O
-#: as data; the ExecutionEngine (repro.cluster.engine) runs it.
-PLANNER_MODULES = ("repro.raid.plan", "repro.raid.planners")
-#: What planners may import from repro (intra-raid plus the base set).
-_PLANNER_ALLOWED = {"raid"} | BASE_MODULES
+#: Pure module prefixes and the one repro package each may import
+#: (besides the base modules), lazily or not.
+PURE_MODULES: Dict[str, str] = {
+    "repro.raid.plan": "raid",
+    "repro.raid.planners": "raid",
+    "repro.cache": "cache",
+}
 
 
-class PlannerPurityRule(ProjectRule):
-    """ARCH004: planners stay pure — data in, IOPlan out."""
+def _pure_package(module: str) -> str | None:
+    for prefix, allowed in PURE_MODULES.items():
+        if module == prefix or module.startswith(prefix + "."):
+            return allowed
+    return None
+
+
+class PurityRule(ProjectRule):
+    """ARCH004: planners and the cache package stay pure bookkeeping."""
 
     code = "ARCH004"
-    summary = "planner module is not pure"
+    summary = "pure module (planner or repro.cache) imports or yields"
 
     def check_project(self, mods: Sequence[ModuleInfo]) -> Iterator[Finding]:
         for mod in mods:
-            if mod.module not in PLANNER_MODULES:
+            own = _pure_package(mod.module)
+            if own is None:
                 continue
             # Unlike ARCH001, lazy imports are NOT an escape hatch here:
-            # a planner that lazily imports the sim kernel is still
+            # a pure module that lazily imports the sim kernel is still
             # executing, just sneakily.
-            for imported, name, lineno, _top in mod.repro_imports:
+            for imported, _name, lineno, _top in mod.repro_imports:
                 dst = _dest_package(imported)
-                if dst is None or dst in _PLANNER_ALLOWED:
+                if dst is None or dst == own or dst in BASE_MODULES:
                     continue
                 yield Finding(
                     self.code, mod.path, lineno, 0,
-                    f"planner module {mod.module} imports repro.{dst} "
-                    f"({imported}); planners are pure — geometry in, "
-                    "IOPlan out — and only the engine "
-                    "(repro.cluster.engine) may touch the sim kernel, "
-                    "hardware, or cluster layers",
+                    f"pure module {mod.module} imports repro.{dst} "
+                    f"({imported}); it may see only repro.{own} and the "
+                    "base modules — simulated time and hardware belong "
+                    "to the cluster layer (the engine, the cache stage)",
                 )
             for node in ast.walk(mod.tree):
                 if isinstance(node, (ast.Yield, ast.YieldFrom)):
                     yield Finding(
                         self.code, mod.path, node.lineno, 0,
-                        f"yield in planner module {mod.module}; a "
-                        "planner must not be a process generator — "
-                        "return a declarative plan and let the "
-                        "ExecutionEngine schedule the simulator events",
+                        f"yield in pure module {mod.module}; it must not "
+                        "be a process generator — return plain data and "
+                        "let the cluster layer schedule the simulator "
+                        "events",
                     )
 
 
@@ -270,5 +283,5 @@ RULES = (
     ArchLayeringRule(),
     ArchBoundaryRule(),
     ArchCycleRule(),
-    PlannerPurityRule(),
+    PurityRule(),
 )

@@ -266,6 +266,9 @@ class FFPricingPurityRule(ProjectRule):
     code = "FF002"
     summary = "int truncation or order-dependent reduction in pricing code"
 
+    def codes(self) -> tuple[str, ...]:
+        return ("FF002", "FF003")
+
     def check_project(self, mods: Sequence[ModuleInfo]) -> Iterator[Finding]:
         for mod in mods:
             if not _in_scope(mod):

@@ -18,13 +18,12 @@ LOCK001   a lock acquired here may not be released on some path out of
           the function — wrap the held region in ``try/finally`` (or
           transfer ownership into a handle immediately).  Since the
           interprocedural engine this also covers acquires obtained
-          *from* a helper and tokens a callee provably keeps held.
+          *from* a helper, tokens a callee provably keeps held, and a
+          held lock passed to a callee that releases it on some paths
+          but not all (reported at that call: the caller cannot know
+          whether it still owns the lock)
 LOCK002   the acquire's return value is discarded: nothing can ever
           release this lock
-LOCK003   a held lock is passed to a callee that releases it on some
-          paths but not all — the caller cannot know whether it still
-          owns the lock; make the callee release unconditionally (or
-          never)
 ========  ==============================================================
 """
 
@@ -34,17 +33,9 @@ import ast
 from typing import Iterator, Sequence
 
 from repro.lint.callgraph import get_callgraph
-from repro.lint.cfg import FunctionAnalysis, ResourceSpec, find_resource_leaks
+from repro.lint.cfg import ACQUIRE_METHODS, FunctionAnalysis
 from repro.lint.core import Finding, ModuleInfo, ProjectRule
-from repro.lint.summaries import get_lock_summaries
-
-LOCK_SPEC = ResourceSpec(
-    acquire_methods=frozenset({"acquire", "acquire_write_locks"}),
-    release_methods=frozenset({"release", "release_write_locks"}),
-    noun="lock",
-    leak_code="LOCK001",
-    discard_code="LOCK002",
-)
+from repro.lint.summaries import LockSummaries
 
 _LEAK_MSG = (
     "lock acquired here may not be released on all paths; hold it "
@@ -65,25 +56,28 @@ def _in_scope(mod: ModuleInfo) -> bool:
     )
 
 
-def _mentions_acquire(node: ast.AST, spec: ResourceSpec) -> bool:
+def _mentions_acquire(node: ast.AST) -> bool:
     return any(
-        isinstance(n, ast.Attribute) and n.attr in spec.acquire_methods
+        isinstance(n, ast.Attribute) and n.attr in ACQUIRE_METHODS
         for n in ast.walk(node)
     )
 
 
 class LockReleaseRule(ProjectRule):
-    """LOCK001/LOCK002/LOCK003 over every function in lock-using modules."""
+    """LOCK001/LOCK002 over every function in lock-using modules."""
 
     code = "LOCK"
     summary = "lock acquires must be released on all paths (across calls)"
+
+    def codes(self) -> tuple[str, ...]:
+        return ("LOCK001", "LOCK002")
 
     def check_project(self, mods: Sequence[ModuleInfo]) -> Iterator[Finding]:
         scope = [m for m in mods if _in_scope(m)]
         if not scope:
             return
         graph = get_callgraph(mods)
-        summaries = get_lock_summaries(graph, LOCK_SPEC)
+        summaries = LockSummaries(graph)
         returns_acquired = summaries.returns_acquired_quals()
         graphed_nodes = {id(fn.node) for fn in graph.functions.values()}
         for mod in scope:
@@ -92,12 +86,10 @@ class LockReleaseRule(ProjectRule):
                     graph.calls_certain.get(fn.qualname, set())
                     & returns_acquired
                 )
-                if not calls_ra and not _mentions_acquire(fn.node, LOCK_SPEC):
+                if not calls_ra and not _mentions_acquire(fn.node):
                     continue
                 analysis = FunctionAnalysis(
-                    fn.node,
-                    LOCK_SPEC,
-                    resolver=summaries.resolver_for(fn.qualname),
+                    fn.node, resolver=summaries.resolver_for(fn.qualname)
                 )
                 analysis.run()
                 yield from self._report(mod, analysis)
@@ -107,9 +99,9 @@ class LockReleaseRule(ProjectRule):
                 if (
                     isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and id(node) not in graphed_nodes
-                    and _mentions_acquire(node, LOCK_SPEC)
+                    and _mentions_acquire(node)
                 ):
-                    analysis = FunctionAnalysis(node, LOCK_SPEC)
+                    analysis = FunctionAnalysis(node)
                     analysis.run()
                     yield from self._report(mod, analysis)
 
@@ -123,14 +115,12 @@ class LockReleaseRule(ProjectRule):
         for call, _token, callee in analysis.mixed_calls.values():
             short = callee.rsplit(".", 1)[-1]
             yield mod.finding(
-                call, "LOCK003",
+                call, "LOCK001",
                 f"held lock passed to {short}(), which releases it on "
                 "some paths but not all — the caller cannot know whether "
                 "it still owns the lock; make the callee release "
                 "unconditionally (try/finally) or not at all",
             )
 
-
-__all__ = ["LOCK_SPEC", "LockReleaseRule", "RULES", "find_resource_leaks"]
 
 RULES = (LockReleaseRule(),)

@@ -1,44 +1,30 @@
 """OBS rules: tracing discipline.
 
 The tracing subsystem has exactly one sanctioned wiring: instrumentation
-reads the process-wide slot (``repro.obs.runtime.TRACER``), installs go
-through ``runtime.install()``/``runtime.tracing()``, and open spans
-(:meth:`Tracer.open_span`) are closed on every exit — an unclosed span
-is a silent hole in the trace that skews every percentile computed from
-it.
+reads the process-wide slot (``repro.obs.runtime.TRACER``), and installs
+go through ``runtime.install()``/``runtime.tracing()``.  A tracer built
+or slotted any other way is invisible to the instrumentation sites, or
+skips the bookkeeping that restores the previous tracer.
 
 ========  ==============================================================
 OBS001    direct ``Tracer()``/``NullTracer()`` construction outside
           ``repro.obs`` — bypasses the runtime slot, so instrumentation
           sites will not see it
-OBS002    a span opened with ``open_span`` may not be closed on some
-          path — close it in ``finally`` or use it as a context manager
 OBS003    assignment to the ``TRACER`` slot outside
           ``repro.obs.runtime`` — use ``install()``/``tracing()``
-OBS004    nondeterminism (RNG draws, wall clock) in a sampling decision
-          path — sampling must be a pure function of (trace id, seed)
-          so every process of a sharded sweep keeps the same traces
 ========  ==============================================================
+
+The sampler's determinism (``Tracer.keeps`` is a pure function of the
+trace id and seed) needs no rule of its own: ``repro.obs`` is in the
+SIM scope, so SIM001 and SIM002 report a clock read or an RNG draw there.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.lint.callgraph import get_callgraph
-from repro.lint.cfg import FunctionAnalysis, ResourceSpec, find_resource_leaks
-from repro.lint.core import Finding, ModuleInfo, ProjectRule, Rule
-from repro.lint.rules_sim import _WALL_CLOCK
-from repro.lint.summaries import get_lock_summaries
-
-SPAN_SPEC = ResourceSpec(
-    acquire_methods=frozenset({"open_span"}),
-    release_methods=frozenset({"close"}),
-    noun="span",
-    leak_code="OBS002",
-    discard_code="OBS002",
-)
+from repro.lint.core import Finding, ModuleInfo, Rule
 
 _TRACER_CLASSES = {
     "repro.obs.trace.Tracer",
@@ -71,85 +57,6 @@ class ObsDirectTracerRule(Rule):
                     "bypasses the process-wide slot; use "
                     "repro.obs.runtime.install() or tracing()",
                 )
-
-
-class ObsSpanCloseRule(ProjectRule):
-    """OBS002: spans opened with ``open_span`` close on every path.
-
-    Interprocedural like LOCK001: a span closed inside a helper (callee
-    summary ``releases``) is credited in the caller, and a helper that
-    returns a fresh ``open_span`` on every path counts as an open site.
-    """
-
-    code = "OBS002"
-    summary = "open span not closed on all paths (across calls)"
-
-    @staticmethod
-    def _in_scope(mod: ModuleInfo) -> bool:
-        return mod.module.startswith("repro.") and mod.package != "lint"
-
-    def check_project(self, mods: Sequence[ModuleInfo]) -> Iterator[Finding]:
-        scope = [m for m in mods if self._in_scope(m)]
-        if not scope:
-            return
-        graph = get_callgraph(mods)
-        summaries = get_lock_summaries(graph, SPAN_SPEC)
-        returns_open = summaries.returns_acquired_quals()
-        graphed_nodes = {id(fn.node) for fn in graph.functions.values()}
-
-        def mentions(node: ast.AST) -> bool:
-            return any(
-                isinstance(n, ast.Attribute)
-                and n.attr in SPAN_SPEC.acquire_methods
-                for n in ast.walk(node)
-            )
-
-        for mod in scope:
-            for fn in graph.functions_in(mod):
-                calls_ro = bool(
-                    graph.calls_certain.get(fn.qualname, set()) & returns_open
-                )
-                if not calls_ro and not mentions(fn.node):
-                    continue
-                analysis = FunctionAnalysis(
-                    fn.node, SPAN_SPEC,
-                    resolver=summaries.resolver_for(fn.qualname),
-                )
-                analysis.run()
-                yield from self._report(mod, analysis)
-            for node in ast.walk(mod.tree):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and id(node) not in graphed_nodes
-                    and mentions(node)
-                ):
-                    analysis = FunctionAnalysis(node, SPAN_SPEC)
-                    analysis.run()
-                    yield from self._report(mod, analysis)
-
-    def _report(
-        self, mod: ModuleInfo, analysis: FunctionAnalysis
-    ) -> Iterator[Finding]:
-        for site in analysis.leaks.values():
-            yield mod.finding(
-                site, self.code,
-                "span opened here may not be closed on all paths; "
-                "close it in finally or use `with tracer.open_span(...)`",
-            )
-        for site in analysis.discards:
-            yield mod.finding(
-                site, self.code,
-                "open_span result discarded: the span can never be "
-                "closed (use record() for one-shot spans)",
-            )
-        for call, _token, callee in analysis.mixed_calls.values():
-            short = callee.rsplit(".", 1)[-1]
-            yield mod.finding(
-                call, self.code,
-                f"open span passed to {short}(), which closes it on some "
-                "paths but not all — close it unconditionally in the "
-                "callee or keep closing in the caller",
-            )
 
 
 class ObsSlotAssignRule(Rule):
@@ -188,72 +95,4 @@ class ObsSlotAssignRule(Rule):
                     )
 
 
-class ObsSamplerDeterminismRule(Rule):
-    """OBS004: sampling decisions are seeded hashes, never live draws.
-
-    The whole point of deterministic trace sampling is that the keep /
-    drop decision for a trace id is identical in every process: sweep
-    shards sample coherently, a resumed run keeps the same traces as a
-    fresh one, and the fast-forward path reaches the same decision the
-    event-driven path would.  Any RNG draw or wall-clock read inside a
-    sampling path silently breaks all three, so this rule mirrors
-    SIM001/SIM002 for sampler code — which lives in ``repro.obs``,
-    outside the SIM rules' scope.
-
-    Scope: function bodies whose name marks them as a sampling decision
-    path (``keeps``, or any name containing ``sample``) in any
-    ``repro.*`` module.
-    """
-
-    code = "OBS004"
-    summary = "nondeterministic sampling decision (RNG or wall clock)"
-
-    def _is_sampler(self, name: str) -> bool:
-        return name == "keeps" or "sample" in name
-
-    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
-        if not mod.module.startswith("repro.") or mod.package == "lint":
-            return
-        for fn in ast.walk(mod.tree):
-            if not isinstance(
-                fn, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) or not self._is_sampler(fn.name):
-                continue
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                origin = mod.resolve(node.func)
-                if origin is None:
-                    continue
-                if origin in _WALL_CLOCK:
-                    yield mod.finding(
-                        node, self.code,
-                        f"{origin}() in sampling path {fn.name}(): the "
-                        "keep/drop decision must be a pure seeded hash "
-                        "of the trace id, not a clock read",
-                    )
-                elif origin.split(".")[0] == "random":
-                    yield mod.finding(
-                        node, self.code,
-                        f"{origin}() in sampling path {fn.name}(): an "
-                        "RNG draw makes the decision depend on draw "
-                        "order — hash (trace ^ seed) instead",
-                    )
-                elif origin.startswith("numpy.random.") and not (
-                    origin == "numpy.random.default_rng"
-                    and (node.args or node.keywords)
-                ):
-                    yield mod.finding(
-                        node, self.code,
-                        f"{origin}() in sampling path {fn.name}(): "
-                        "sampling must not consume RNG state; hash "
-                        "(trace ^ seed) instead",
-                    )
-
-
-RULES = (
-    ObsDirectTracerRule(),
-    ObsSpanCloseRule(),
-    ObsSlotAssignRule(),
-    ObsSamplerDeterminismRule(),
-)
+RULES = (ObsDirectTracerRule(), ObsSlotAssignRule())

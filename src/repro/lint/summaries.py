@@ -13,7 +13,7 @@ whole thing stays O(functions), not O(paths)):
   carrying the call chain for the report.  SIM005 fires where tainted
   code is *called from* simulation scope — the transitive catch the
   intraprocedural rules miss.
-* **Lock-ownership summaries** (:func:`get_lock_summaries`) — every
+* **Lock-ownership summaries** (:class:`LockSummaries`) — every
   function is run once in the :class:`~repro.lint.cfg.FunctionAnalysis`
   summary mode (parameters seeded as held tokens) to classify what it
   does with a token handed to it (releases / keeps / escapes / mixed)
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.lint.callgraph import CallGraph, FunctionInfo
-from repro.lint.cfg import FunctionAnalysis, LockSummary, Resolver, ResourceSpec
+from repro.lint.cfg import FunctionAnalysis, LockSummary, Resolver
 
 #: Wall-clock reads and real sleeps (resolved dotted origins).  These are
 #: the canonical source sets — :mod:`repro.lint.rules_sim` re-exports
@@ -164,7 +164,7 @@ def get_taint(graph: CallGraph) -> Dict[str, Taint]:
 
 
 class LockSummaries:
-    """Lock-ownership summary table for one (graph, spec) pair.
+    """Lock-ownership summary table for one call graph.
 
     ``summaries[qual]`` is the callee's :class:`LockSummary`, or ``None``
     for members of recursion cycles (conservative: callers treat their
@@ -173,9 +173,8 @@ class LockSummaries:
     :class:`FunctionAnalysis` consumes.
     """
 
-    def __init__(self, graph: CallGraph, spec: ResourceSpec):
+    def __init__(self, graph: CallGraph):
         self.graph = graph
-        self.spec = spec
         self.summaries: Dict[str, Optional[LockSummary]] = {}
         self._call_maps: Dict[str, Dict[int, Tuple[str, bool]]] = {}
         for scc in graph.sccs(certain_only=True):
@@ -187,7 +186,6 @@ class LockSummaries:
             fn = graph.functions[qual]
             analysis = FunctionAnalysis(
                 fn.node,
-                spec,
                 resolver=self.resolver_for(qual),
                 initial=fn.params,
             )
@@ -251,15 +249,3 @@ class LockSummaries:
             for q, s in self.summaries.items()
             if s is not None and s.returns_acquired
         }
-
-
-def get_lock_summaries(graph: CallGraph, spec: ResourceSpec) -> LockSummaries:
-    cache = getattr(graph, "_lock_summaries", None)
-    if cache is None:
-        cache = {}
-        graph._lock_summaries = cache  # type: ignore[attr-defined]
-    table = cache.get(spec)
-    if table is None:
-        table = LockSummaries(graph, spec)
-        cache[spec] = table
-    return table

@@ -41,7 +41,6 @@ from repro.obs.trace import (
     SCSI_TRANSFER,
     SPAN_KINDS,
     NullTracer,
-    OpenSpan,
     Span,
     Tracer,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "LogHistogram",
     "MetricsRegistry",
     "Span",
-    "OpenSpan",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

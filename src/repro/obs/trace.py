@@ -119,104 +119,6 @@ class Span:
         )
 
 
-class OpenSpan:
-    """A span opened at a known start time, closed explicitly.
-
-    :meth:`Tracer.record` stays the hot-path API (the simulator knows a
-    span's full extent at completion time), but multi-exit regions —
-    request bodies with failure paths, lock-held sections — want the
-    open/close form so the end time is captured on *every* exit::
-
-        with tracer.open_span(REQUEST, track, env, trace=tid) as span:
-            ...                      # closes at the with-exit, even on raise
-
-        span = tracer.open_span(REQUEST, track, env)
-        try:
-            ...
-        finally:
-            span.close(outcome="ok")  # kwargs merge into the span args
-
-    ``repro.lint`` (rule OBS002) statically checks that every opened
-    span is closed on all paths.  Closing twice is a no-op returning the
-    original span.
-    """
-
-    __slots__ = ("tracer", "kind", "track", "env", "trace", "args", "span")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        kind: str,
-        track: str,
-        env: Any,
-        trace: Optional[int] = None,
-        **args: Any,
-    ):
-        self.tracer = tracer
-        self.kind = kind
-        self.track = track
-        self.env = env
-        self.trace = trace
-        self.args = args
-        self.args["_start"] = env.now
-        self.span: Optional[Span] = None
-
-    @property
-    def closed(self) -> bool:
-        return "_start" not in self.args
-
-    def close(self, **more: Any) -> Optional[Span]:
-        """Record the span ``[open time, env.now]``; idempotent.
-
-        Returns ``None`` when the trace was sampled out (the metrics
-        observation still happened exactly once).
-        """
-        if "_start" in self.args:
-            start = self.args.pop("_start")
-            self.args.update(more)
-            self.span = self.tracer.record(
-                self.kind, self.track, start, self.env.now,
-                trace=self.trace, **self.args,
-            )
-        return self.span
-
-    def __enter__(self) -> "OpenSpan":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[type],
-        exc: Optional[BaseException],
-        tb: object,
-    ) -> None:
-        self.close(**({"error": exc_type.__name__} if exc_type else {}))
-
-
-class _NullOpenSpan:
-    """The disabled open span: close is free, nothing is recorded."""
-
-    __slots__ = ()
-    closed = False
-    span = None
-
-    def close(self, **more: Any) -> None:
-        return None
-
-    def __enter__(self) -> "_NullOpenSpan":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[type],
-        exc: Optional[BaseException],
-        tb: object,
-    ) -> None:
-        return None
-
-
-_NULL_OPEN_SPAN = _NullOpenSpan()
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -322,17 +224,6 @@ class Tracer:
             name = f"{self.label}:{name}"
         self.metrics.inc(name, delta)
 
-    def open_span(
-        self,
-        kind: str,
-        track: str,
-        env: Any,
-        trace: Optional[int] = None,
-        **args: Any,
-    ) -> OpenSpan:
-        """Open a span now (``env.now``); it records when closed."""
-        return OpenSpan(self, kind, track, env, trace=trace, **args)
-
     # -- introspection ---------------------------------------------------
     def __len__(self) -> int:
         return len(self.spans)
@@ -381,9 +272,6 @@ class NullTracer:
 
     def count(self, *args: Any, **kwargs: Any) -> None:
         return None
-
-    def open_span(self, *args: Any, **kwargs: Any) -> _NullOpenSpan:
-        return _NULL_OPEN_SPAN
 
     def clear(self) -> None:
         return None

@@ -1,4 +1,10 @@
-"""Fixtures for the CACHE buffer-cache boundary rules."""
+"""Fixtures for the buffer-cache boundary: ARCH001 and ARCH004.
+
+Nothing below the engine imports ``repro.cache``, not even lazily
+(ARCH001), and ``repro.cache`` itself stays pure bookkeeping (ARCH004).
+The test names keep CACHE001/CACHE002, the retired codes these cases
+were written for.
+"""
 
 from __future__ import annotations
 
@@ -8,15 +14,15 @@ from repro.lint import lint_sources
 from tests.lint.util import codes
 
 
-def lint(sources: dict[str, str], select: str = "CACHE") -> set[str]:
+def lint(sources: dict[str, str], select: str = "ARCH") -> set[str]:
     deds = {name: textwrap.dedent(src) for name, src in sources.items()}
     return codes(lint_sources(deds, select=[select]))
 
 
-# -- CACHE001: nothing below the engine sees the cache --------------------
+# -- ARCH001: nothing below the engine sees the cache ---------------------
 
 def test_cache001_fires_when_raid_imports_cache():
-    assert "CACHE001" in lint({
+    assert "ARCH001" in lint({
         "repro.raid.fixture": """
             from repro.cache import BlockCache
             """,
@@ -24,7 +30,7 @@ def test_cache001_fires_when_raid_imports_cache():
 
 
 def test_cache001_fires_on_lazy_import_too():
-    assert "CACHE001" in lint({
+    assert "ARCH001" in lint({
         "repro.hardware.fixture": """
             def sneaky():
                 from repro.cache.core import BlockCache
@@ -34,7 +40,7 @@ def test_cache001_fires_on_lazy_import_too():
 
 
 def test_cache001_silent_for_engine_level_and_above():
-    assert "CACHE001" not in lint({
+    assert "ARCH001" not in lint({
         "repro.cluster.fixture": """
             from repro.cache import BlockCache
             """,
@@ -46,7 +52,7 @@ def test_cache001_silent_for_engine_level_and_above():
 
 def test_cache001_silent_on_writecontext_data_path():
     # The sanctioned direction: cache state flows *down* as plain data.
-    assert "CACHE001" not in lint({
+    assert "ARCH001" not in lint({
         "repro.raid.fixture": """
             from repro.raid.plan import WriteContext
 
@@ -56,10 +62,10 @@ def test_cache001_silent_on_writecontext_data_path():
     })
 
 
-# -- CACHE002: the cache package stays pure -------------------------------
+# -- ARCH004: the cache package stays pure --------------------------------
 
 def test_cache002_fires_when_cache_imports_sim():
-    assert "CACHE002" in lint({
+    assert "ARCH004" in lint({
         "repro.cache.fixture": """
             from repro.sim.core import Environment
             """,
@@ -67,7 +73,7 @@ def test_cache002_fires_when_cache_imports_sim():
 
 
 def test_cache002_fires_on_lazy_cluster_import():
-    assert "CACHE002" in lint({
+    assert "ARCH004" in lint({
         "repro.cache.fixture": """
             def sneaky():
                 from repro.cluster.engine import ExecutionEngine
@@ -77,7 +83,7 @@ def test_cache002_fires_on_lazy_cluster_import():
 
 
 def test_cache002_fires_on_yield():
-    assert "CACHE002" in lint({
+    assert "ARCH004" in lint({
         "repro.cache.fixture": """
             def destage(env):
                 yield env.timeout(1.0)
@@ -86,7 +92,7 @@ def test_cache002_fires_on_yield():
 
 
 def test_cache002_silent_on_cache_internal_and_base_imports():
-    assert "CACHE002" not in lint({
+    assert "ARCH004" not in lint({
         "repro.cache.fixture": """
             from repro.cache.policy import LRUPolicy
             from repro.errors import ReproError
@@ -99,5 +105,5 @@ def test_cache002_silent_on_cache_internal_and_base_imports():
 
 
 def test_repo_is_cache_clean(src_findings):
-    findings = [f for f in src_findings if f.rule.startswith("CACHE")]
+    findings = [f for f in src_findings if f.rule in ("ARCH001", "ARCH004")]
     assert findings == []

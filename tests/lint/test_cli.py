@@ -1,4 +1,4 @@
-"""CLI behavior: JSON schema, exit codes, baseline, suppression."""
+"""CLI behavior: JSON schema, exit codes, selection, suppression."""
 
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ def test_json_output_schema_and_exit_code(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["version"] == 1
     assert payload["tool"] == "repro.lint"
-    assert payload["baselined"] == []
     assert payload["summary"]["findings"] == len(payload["findings"]) > 0
     rules = {f["rule"] for f in payload["findings"]}
     assert {"SIM002", "SIM003"} <= rules
@@ -62,17 +61,6 @@ def test_clean_tree_exits_zero(tmp_path):
     proc = run_lint(tmp_path, "repro")
     assert proc.returncode == 0
     assert "clean" in proc.stdout
-
-
-def test_baseline_grandfathers_existing_findings(tmp_path):
-    write_module(tmp_path, DIRTY)
-    wrote = run_lint(tmp_path, "repro", "--write-baseline")
-    assert wrote.returncode == 0
-    proc = run_lint(tmp_path, "repro", "--format", "json")
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload["findings"] == []
-    assert payload["summary"]["baselined"] > 0
 
 
 def test_select_narrows_to_one_family(tmp_path):
@@ -96,33 +84,3 @@ def test_list_rules_names_every_family(tmp_path):
     assert proc.returncode == 0
     for family in ("SIM001", "LOCK", "OBS001", "ARCH001", "FF001", "LINT001"):
         assert family in proc.stdout
-
-
-def test_prune_baseline_drops_stale_fingerprints(tmp_path):
-    mod = write_module(tmp_path, DIRTY)
-    wrote = run_lint(tmp_path, "repro", "--write-baseline")
-    assert wrote.returncode == 0
-    before = json.loads((tmp_path / "lint-baseline.json").read_text())
-    assert before["fingerprints"]
-
-    # The violations get fixed; their fingerprints are now stale.
-    mod.write_text(CLEAN, encoding="utf-8")
-    pruned = run_lint(tmp_path, "repro", "--prune-baseline")
-    assert pruned.returncode == 0
-    assert "pruned" in pruned.stderr
-
-    after = json.loads((tmp_path / "lint-baseline.json").read_text())
-    assert after["fingerprints"] == []
-
-
-def test_prune_baseline_keeps_live_fingerprints(tmp_path):
-    write_module(tmp_path, DIRTY)
-    run_lint(tmp_path, "repro", "--write-baseline")
-    before = json.loads((tmp_path / "lint-baseline.json").read_text())
-
-    # Nothing was fixed: pruning must be a no-op.
-    pruned = run_lint(tmp_path, "repro", "--prune-baseline")
-    assert pruned.returncode == 0
-    assert "pruned 0 stale fingerprint(s)" in pruned.stderr
-    after = json.loads((tmp_path / "lint-baseline.json").read_text())
-    assert after == before

@@ -4,9 +4,10 @@ The PR-3 analyzer treated any held token passed to a call as an
 ownership transfer and went silent.  With callee summaries the engine
 now (a) stays quiet when the callee provably releases on all paths,
 (b) reports LOCK001 when the callee provably does NOT release
-("keeps"), (c) reports LOCK003 when the callee releases on some paths
-only ("mixed"), and (d) tracks acquisition through factory helpers that
-return a fresh handle (``returns_acquired``).
+("keeps"), (c) reports LOCK001 at the call when the callee releases on
+some paths only ("mixed"; the test name keeps LOCK003, its retired
+code), and (d) tracks acquisition through factory helpers that return
+a fresh handle (``returns_acquired``).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def test_callee_that_releases_on_some_paths_only_is_lock003():
                         self.locks.release_write_locks(h)
             """,
     })
-    assert codes(findings) == {"LOCK003"}
+    assert codes(findings) == {"LOCK001"}
     (f,) = findings
     assert "_maybe_close" in f.message
     assert "some paths but not all" in f.message
