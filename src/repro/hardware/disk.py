@@ -242,11 +242,14 @@ class Disk:
         The node fast-forward has established (conflict predicate, see
         DESIGN §6.14) that this parked disk stays untouched until the
         request's bus transfer completes at ``dispatch_at``, so the
-        wake-at-dispatch marker firing can run early: same scheduler
-        push/pop (depth accounting), same closed-form pricing against
-        the same head state, with the completion marker armed directly
-        at ``dispatch_at + service`` — skipping the wake event.  The
-        caller must have checked :meth:`ff_ready`.
+        wake-at-dispatch marker firing can run early, with the completion
+        marker armed directly at ``dispatch_at + service`` — skipping the
+        wake event.  The caller must have checked :meth:`ff_ready`: the
+        server is parked with nothing pending, so the wake would push
+        this lone request into the empty scheduler and pop it straight
+        back.  That round trip is only bookkept
+        (:meth:`DiskScheduler.pass_through`), and :meth:`_ff_next` prices
+        the request with the same closed form against the same head.
         """
         req = DiskRequest(
             op, offset, nbytes, Event(self.env), dispatch_at, priority, trace
@@ -255,12 +258,10 @@ class Disk:
         if self._pending > self.stats.queue_depth_hw:
             self.stats.queue_depth_hw = self._pending
         self._ff_parked = False
-        # The wake marker's firing, run now: the scheduler push/pop and
-        # the closed-form pricing of _ff_next.  Head state read at
-        # submit time is the head state at dispatch time — the
-        # predicate guarantees no intervening service.
-        self.scheduler.push(req)
-        service = self._ff_next(dispatch_at)
+        # Head state read at submit time is the head state at dispatch
+        # time — the predicate guarantees no intervening service.
+        self.scheduler.pass_through(req, self._head)
+        service = self._ff_next(dispatch_at, req)
         # Phase path: the wake marker pops at dispatch_at and the run
         # loop re-arms it at ``now + service`` with now == dispatch_at.
         # Same float expression here, armed early.
@@ -338,7 +339,9 @@ class Disk:
         nxt = self._ff_next(now)
         return None if nxt is None else now + nxt
 
-    def _ff_next(self, now: float) -> Optional[float]:
+    def _ff_next(
+        self, now: float, req: Optional[DiskRequest] = None
+    ) -> Optional[float]:
         """Dispatch the next request; its service time, or None.
 
         Drains arrivals into the scheduler, pops by policy, then fails
@@ -346,11 +349,13 @@ class Disk:
         completion bookkeeping runs in :meth:`_ff_step` when the marker
         pops.  On empty backlog the server parks (a submit re-arms the
         marker); if arrivals raced in, the marker is re-armed at
-        ``now`` instead, as a wake grant.
+        ``now`` instead, as a wake grant.  A preloaded lone ``req``
+        (:meth:`ff_preload`) skips the drain and the pop: there is
+        nothing to drain, and the pop would return it.
         """
         sched = self.scheduler
         items = self._ff_items
-        while True:
+        while req is None:
             if sched.empty():
                 self._ff_req = None
                 if items:
@@ -367,43 +372,43 @@ class Disk:
             if self.failed:
                 self._pending -= 1
                 req.done.fail(DiskFailedError(self.disk_id))
-                continue
-            # The service closed form (module docstring) with the
-            # frozen params bound at construction: seek and rotation
-            # skipped inside the sequential window, square-root seek
-            # between track-to-track and full-stroke otherwise.
-            off = req.offset
-            last_end = self._last_end
-            if off >= last_end and off - last_end < self._ff_window:
+                req = None
+        # The service closed form (module docstring) with the frozen
+        # params bound at construction: seek and rotation skipped inside
+        # the sequential window, square-root seek between track-to-track
+        # and full-stroke otherwise.
+        off = req.offset
+        last_end = self._last_end
+        if off >= last_end and off - last_end < self._ff_window:
+            seek = 0.0
+            rot = 0.0
+        else:
+            dist = off - self._head
+            if dist < 0:
+                dist = -dist
+            if dist <= 0:
                 seek = 0.0
-                rot = 0.0
             else:
-                dist = off - self._head
-                if dist < 0:
-                    dist = -dist
-                if dist <= 0:
-                    seek = 0.0
-                else:
-                    frac = dist / self._ff_cap
-                    if frac > 1.0:
-                        frac = 1.0
-                    seek = self._ff_t2t + self._ff_stroke * _sqrt(frac)
-                rot = self._ff_rot
-            xfer = req.nbytes / self._ff_rate
-            service = self._ff_ctrl + seek + rot + xfer
-            tracer = _obs.TRACER
-            if tracer.enabled and now > req.submitted_at:
-                tracer.record(
-                    DISK_QUEUE_WAIT,
-                    self.name,
-                    req.submitted_at,
-                    now,
-                    trace=req.trace,
-                    op=req.op,
-                    priority=req.priority,
-                )
-            self._ff_req = req
-            # The tracer rides along: the service span is gated on the
-            # tracer read at dispatch, not at completion.
-            self._ff_info = (service, seek, rot, xfer, tracer)
-            return service
+                frac = dist / self._ff_cap
+                if frac > 1.0:
+                    frac = 1.0
+                seek = self._ff_t2t + self._ff_stroke * _sqrt(frac)
+            rot = self._ff_rot
+        xfer = req.nbytes / self._ff_rate
+        service = self._ff_ctrl + seek + rot + xfer
+        tracer = _obs.TRACER
+        if tracer.enabled and now > req.submitted_at:
+            tracer.record(
+                DISK_QUEUE_WAIT,
+                self.name,
+                req.submitted_at,
+                now,
+                trace=req.trace,
+                op=req.op,
+                priority=req.priority,
+            )
+        self._ff_req = req
+        # The tracer rides along: the service span is gated on the
+        # tracer read at dispatch, not at completion.
+        self._ff_info = (service, seek, rot, xfer, tracer)
+        return service

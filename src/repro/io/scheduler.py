@@ -112,6 +112,27 @@ class DiskScheduler:
                 else "sched.enqueued.background"
             )
 
+    def pass_through(self, req: DiskRequest, head: int) -> None:
+        """Bookkeep a :meth:`push` of ``req`` into this empty scheduler
+        and the :meth:`pop` that would return it at once, without either.
+
+        The disk's fast-forward preload (``Disk.ff_preload``) serves a
+        lone request on a parked server; the round trip would leave only
+        this behind: the arrival sequence number, the depth high-water
+        and the traced enqueue count.  Policies with pop state override
+        it (LOOK's sweep direction).
+        """
+        self._seq += 1
+        if not self.max_depth_seen:
+            self.max_depth_seen = 1
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            tracer.count(
+                "sched.enqueued.foreground"
+                if req.priority == 0
+                else "sched.enqueued.background"
+            )
+
     def empty(self) -> bool:
         return self._count == 0
 
@@ -185,6 +206,15 @@ class LookScheduler(DiskScheduler):
 
     def _push(self, queue: _OffsetQueue, req: DiskRequest) -> None:
         queue.push(self._seq, req)
+
+    def pass_through(self, req: DiskRequest, head: int) -> None:
+        super().pass_through(req, head)
+        # The sweep turns as _pop would on a one-offset queue.
+        if self._direction > 0:
+            if req.offset < head:
+                self._direction = -1
+        elif req.offset > head:
+            self._direction = 1
 
     def _pop(self, queue: _OffsetQueue, head: int) -> DiskRequest:
         offsets = queue.offsets

@@ -1,11 +1,12 @@
-"""Fast-path plan resolution: the bounded ``_ff_plans`` memo and the
-requests the resolver must hand back to the phase path.
+"""Fast-path plan resolution: the bounded ``_ff_plans`` write memo and
+the requests the resolvers must hand back to the phase path.
 
 The memo replays a pure function of its key, so its only observable
 contract is its bound: FIFO eviction at ``_FF_PLAN_CAP`` entries,
 counted in ``ff_plan_evictions``, and an evicted key re-resolves to the
-identical tuple.  A zero-length request has no piece to price; the
-fast path must fall back so that FF on and FF off agree.
+identical tuple.  Reads resolve directly and never enter it.  A
+zero-length request has no piece to price; the fast path must fall back
+so that FF on and FF off agree.
 """
 
 import pytest
@@ -23,9 +24,9 @@ BS = 32 * KiB
 ARRAYS = ("raid0", "raid5", "raid10", "chained", "raidx")
 
 
-def _local_reads(cluster, n):
-    """``n`` distinct (client, offset) single-block reads, each served
-    by the reading node's own disk."""
+def _local_blocks(cluster, n):
+    """``n`` distinct (client, offset) single-block requests, each served
+    by the requesting node's own disk."""
     layout = cluster.storage.layout
     n_nodes = len(cluster.nodes)
     return [
@@ -34,14 +35,14 @@ def _local_reads(cluster, n):
     ]
 
 
-def _submit_spaced(cluster, requests, gap=1.0):
-    """Submit each (client, offset) read after the previous one has
+def _submit_spaced(cluster, op, requests, gap=1.0):
+    """Submit each (client, offset) request after the previous one has
     long finished, so every request meets an idle pipeline."""
     env = cluster.env
 
     def driver():
         for client, offset in requests:
-            cluster.storage.submit(client, "read", offset, BS)
+            cluster.storage.submit(client, op, offset, BS)
             yield gap
 
     env.process(driver())
@@ -49,17 +50,19 @@ def _submit_spaced(cluster, requests, gap=1.0):
 
 
 def test_memo_evicts_oldest_first_at_the_cap(monkeypatch):
+    # RAID-0's one-block write is one plain data write: the write shape
+    # the fast path prices, and so the one the memo serves.
     cap, n = 4, 11
     monkeypatch.setattr(engine_mod, "_FF_PLAN_CAP", cap)
-    cluster = build_cluster(small_config(n=4), architecture="raidx")
+    cluster = build_cluster(small_config(n=4), architecture="raid0")
     engine = cluster.storage.engine
-    reads = _local_reads(cluster, n)
-    keys = [(c, "read", off, BS) for c, off in reads]
+    writes = _local_blocks(cluster, n)
+    keys = [(c, off, BS) for c, off in writes]
 
-    _submit_spaced(cluster, reads[:1])
+    _submit_spaced(cluster, "write", writes[:1])
     first = engine._ff_plans[keys[0]]
     assert first is not None
-    _submit_spaced(cluster, reads[1:])
+    _submit_spaced(cluster, "write", writes[1:])
 
     assert engine.fast_submits == n
     assert list(engine._ff_plans) == keys[-cap:]
@@ -72,10 +75,10 @@ def test_memo_evicts_oldest_first_at_the_cap(monkeypatch):
 
 
 def test_memo_holds_a_whole_default_region_without_evicting():
-    cluster = build_cluster(trojans_cluster(n=12), architecture="raidx")
+    cluster = build_cluster(trojans_cluster(n=12), architecture="raid0")
     wl = OpenLoopWorkload(
         cluster, rate_ops_per_s=8.0 * 12, duration_s=None,
-        n_requests=20_000, op="read", placement="local", seed=3,
+        n_requests=20_000, op="write", placement="local", seed=3,
     )
     result = wl.run()
     engine = cluster.storage.engine
@@ -83,6 +86,17 @@ def test_memo_holds_a_whole_default_region_without_evicting():
     assert engine.ff_plan_evictions == 0
     # More distinct request shapes than a 4,096-entry memo could keep.
     assert 4096 < len(engine._ff_plans) <= engine_mod._FF_PLAN_CAP
+
+
+@pytest.mark.parametrize("arch", ARRAYS)
+def test_no_read_key_enters_the_memo(arch):
+    cluster = build_cluster(small_config(n=4), architecture=arch)
+    engine = cluster.storage.engine
+    _submit_spaced(cluster, "read", _local_blocks(cluster, 12))
+    # (A mirrored array may rank a remote copy first; those fall back.)
+    assert engine.fast_submits > 0
+    assert not engine._ff_plans
+    assert engine.ff_plan_evictions == 0
 
 
 def _zero_length_run(arch, node_ff, cached):
