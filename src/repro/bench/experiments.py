@@ -490,7 +490,9 @@ def scale_report(
       the same at any sample rate or with no trace at all;
     * per-node buffer-cache hit ratios from one cache-enabled
       Zipf-hotspot point — the ratios are derived at report time from
-      the shard-mergeable ``load.nodeN.cache.*`` counters.
+      the shard-mergeable ``load.nodeN.cache.*`` counters;
+    * per scale point, why the requests that did not fast-forward fell
+      back, from the ``load.ff_fallback.<reason>`` counters.
     """
     from repro.analysis.bottleneck import bottleneck, usage_table
     from repro.cache import CacheConfig
@@ -500,6 +502,7 @@ def scale_report(
         QUEUE_DEPTH_HW,
         cache_hit_ratios,
         disk_utilizations,
+        fallback_reasons,
         utilization_skew,
     )
     from repro.obs.metrics import MetricsRegistry
@@ -536,6 +539,7 @@ def scale_report(
                     "skew": utilization_skew(load),
                 },
                 "queue_depth_hw": {"max": qd.max, "p95": qd.percentile(95)},
+                "ff_fallback": fallback_reasons(load),
             }
         )
     with obs_runtime.tracing(
@@ -621,8 +625,14 @@ def render_report(data: Dict) -> str:
         title="Observability report — shard-merged scale telemetry",
     )
     attr = data["attribution"]
-    lines = [
-        table,
+    lines = [table, "", "Fast-path fallbacks by reason:"]
+    for p in data["points"]:
+        reasons = ", ".join(
+            f"{reason}={count}"
+            for reason, count in p.get("ff_fallback", {}).items()
+        )
+        lines.append(f"  n_nodes={p['n_nodes']:<4} {reasons or 'none'}")
+    lines += [
         "",
         f"Bottleneck attribution (12-node RAID-x point, from the load "
         f"counters; run under a trace sampled @ rate={attr['sample_rate']}, "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import ClusterConfig
@@ -173,6 +174,8 @@ class Node:
         ]
         self.disk_ids = list(disk_ids)
         self._disk_by_id = dict(zip(self.disk_ids, self.disks))
+        #: Fast-forward refusals by reason (:meth:`try_fast_forward`).
+        self.ff_fallbacks: Counter = Counter()
 
     def local_disk(self, disk_id: int) -> Disk:
         """The local :class:`Disk` with the given global id."""
@@ -234,6 +237,10 @@ class Node:
         """
         return t1 + self.scsi._link._reserve(nbytes, 0.0, t1)
 
+    def _fall_back(self, reason: str) -> None:
+        self.ff_fallbacks[reason] += 1
+        return None
+
     def try_fast_forward(
         self, disk_id: int, op: str, offset: int, nbytes: int,
         priority: int = 0, synth: Optional[FFSpanSynth] = None,
@@ -248,24 +255,32 @@ class Node:
         is armed directly at the closed-form finish time.  Returns the
         completion event, or ``None`` to fall back to the event-driven
         path; a fallback leaves no state behind (all checks precede any
-        claim).
+        claim) but its reason's count in ``ff_fallbacks``.
 
         With tracing on the engine passes a :class:`FFSpanSynth`, armed
         here with the priced hop boundaries so the span stream stays
         byte-identical to the phase path (DESIGN §6.15); a fallback
         leaves the synth un-armed and inert.
         """
-        if self.cpu._work.outstanding or self.scsi._link.outstanding:
-            return None
+        if self.cpu._work.outstanding:
+            return self._fall_back("cpu_busy")
+        if self.scsi._link.outstanding:
+            return self._fall_back("scsi_busy")
         # A transfer in flight on either NIC direction means remote
         # traffic may contend for this node's CPU before the priced
         # request would release it.
         nic = self.nic
         if nic is not None and (nic.tx.outstanding or nic.rx.outstanding):
-            return None
+            return self._fall_back("nic_busy")
         disk = self._disk_by_id.get(disk_id)
-        if disk is None or not disk.ff_ready(op, offset, nbytes):
-            return None
+        if disk is None:
+            return self._fall_back("not_local_disk")
+        if not disk.ff_ready(op, offset, nbytes):
+            # Busy: the disk holds a request in flight.  Otherwise it
+            # has failed, or the op would not validate.
+            return self._fall_back(
+                "disk_busy" if disk.queue_depth else "disk_refused"
+            )
         # The three eager claims: CPU driver entry, SCSI transfer, disk
         # preload — each the link's own reservation (see ff_claim_cpu).
         t1 = self.ff_claim_cpu(self.config.cpu.kernel_request_overhead_s)

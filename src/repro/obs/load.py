@@ -32,10 +32,18 @@ When the storage system runs with the buffer-cache layer attached
 ``.invalidations`` / ``.evictions``) plus the dirty-block high-water
 histogram ``load.cache.dirty_hw`` (max-merge, like queue depth).  Hit
 *ratios* are derived at report time via :func:`cache_hit_ratios`.
+
+A serverless array's engine adds host-side counters, which record how
+requests were served rather than what was simulated:
+``load.fast_submits``, ``load.phase_submits``,
+``load.ff_plan_evictions`` and one ``load.ff_fallback.<reason>`` per
+fast-path fallback reason seen (engine and node refusals summed; read
+back with :func:`fallback_reasons`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -45,6 +53,8 @@ QUEUE_DEPTH_HW = "load.disk.queue_depth_hw"
 #: Histogram of per-disk busy fractions at collection time — the merged
 #: distribution is what utilization-skew reporting reads.
 DISK_UTIL = "load.disk.util"
+#: Name prefix of the fast-path fallback counters, one per reason.
+FF_FALLBACK = "load.ff_fallback."
 
 
 def collect_load(cluster: Any, registry: Optional[MetricsRegistry] = None
@@ -89,6 +99,11 @@ def collect_load(cluster: Any, registry: Optional[MetricsRegistry] = None
         reg.counter("load.ff_plan_evictions").value += (
             engine.ff_plan_evictions
         )
+        reasons = Counter(engine.ff_fallbacks)
+        for node in cluster.nodes:
+            reasons.update(node.ff_fallbacks)
+        for reason, count in sorted(reasons.items()):
+            reg.counter(FF_FALLBACK + reason).value += count
         stage = getattr(engine, "cache", None)
         if stage is not None:
             _collect_cache(stage, reg)
@@ -134,6 +149,17 @@ def _device_counters(reg: MetricsRegistry, dev: str, suffix: str
             if ident.isdigit():
                 out[int(ident)] = reg.counter(name).value
     return dict(sorted(out.items()))
+
+
+def fallback_reasons(reg: MetricsRegistry) -> Dict[str, int]:
+    """{reason: count} of the fast-path fallbacks in a (possibly merged)
+    registry, most frequent first."""
+    counts = {
+        name[len(FF_FALLBACK):]: int(reg.counter(name).value)
+        for name in reg.counter_names()
+        if name.startswith(FF_FALLBACK)
+    }
+    return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def cache_hit_ratios(reg: MetricsRegistry) -> Dict[int, float]:

@@ -208,19 +208,23 @@ def _cached_key(case: str, node_ff: bool) -> str:
     return f"cached/{case}/ff{int(node_ff)}"
 
 
-#: ``collect_load`` counters that record which path served a request
-#: or how the fast path's plan memo fared, not what was simulated; the
-#: load hash leaves them out (the submit counts are pinned as fields).
+#: ``collect_load`` counters that record which path served a request,
+#: why the fast path refused one, or how its plan memo fared, not what
+#: was simulated; the load hash leaves them out (the submit counts are
+#: pinned as fields).  An entry ending in ``.`` names a prefix.
 HOST_COUNTERS = (
     "load.fast_submits", "load.phase_submits", "load.ff_plan_evictions",
+    "load.ff_fallback.",
 )
 
 
 def load_payload(cluster) -> dict:
     """The ``collect_load`` payload minus :data:`HOST_COUNTERS`."""
     payload = collect_load(cluster).to_payload()
-    for name in HOST_COUNTERS:
-        payload["counters"].pop(name, None)
+    payload["counters"] = {
+        name: value for name, value in payload["counters"].items()
+        if not name.startswith(HOST_COUNTERS)
+    }
     return payload
 
 
