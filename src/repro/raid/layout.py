@@ -243,42 +243,57 @@ class Layout:
         """Check core placement invariants over the first ``blocks`` blocks.
 
         Raises :class:`LayoutError` on violation.  Used by property tests
-        and at array construction time.
+        and at array construction time.  Data placements are read from
+        the rotation table :meth:`data_location` serves (built here if
+        need be), and occupied slots are keyed by one integer per
+        ``(disk, offset)``: block ``b`` as ``b``, its image as ``~b``.
         """
+        bs = self.block_size
+        n_disks = self.n_disks
+        last = self.disk_capacity - bs
+        period, advance, rotation = (
+            self._data_table or self._build_data_table()
+        )
+        redundancy_locations = self.redundancy_locations
         seen: dict = {}
-        upper = min(blocks, self.data_blocks)
-        for b in range(upper):
-            p = self.data_location(b)
-            if not 0 <= p.disk < self.n_disks:
-                raise LayoutError(f"block {b}: disk {p.disk} out of range")
-            if not 0 <= p.offset <= self.disk_capacity - self.block_size:
-                raise LayoutError(f"block {b}: offset {p.offset} out of range")
-            key = (p.disk, p.offset)
+
+        def owner(tag: int) -> tuple:
+            return ("data", tag) if tag >= 0 else ("image", ~tag)
+
+        for b in range(min(blocks, self.data_blocks)):
+            rot, idx = divmod(b, period)
+            disk, base = rotation[idx]
+            offset = base + rot * advance
+            if not 0 <= disk < n_disks:
+                raise LayoutError(f"block {b}: disk {disk} out of range")
+            if not 0 <= offset <= last:
+                raise LayoutError(f"block {b}: offset {offset} out of range")
+            key = offset * n_disks + disk
             if key in seen:
                 raise LayoutError(
-                    f"placement collision: blocks {seen[key]} and {b} "
-                    f"both at disk {p.disk} offset {p.offset}"
+                    f"placement collision: blocks {owner(seen[key])} and "
+                    f"{b} both at disk {disk} offset {offset}"
                 )
-            seen[key] = ("data", b)
-            for m in self.redundancy_locations(b):
-                if not 0 <= m.disk < self.n_disks:
+            seen[key] = b
+            for m_disk, m_offset in redundancy_locations(b):
+                if not 0 <= m_disk < n_disks:
                     raise LayoutError(
-                        f"block {b}: image disk {m.disk} out of range"
+                        f"block {b}: image disk {m_disk} out of range"
                     )
-                if not 0 <= m.offset <= self.disk_capacity - self.block_size:
+                if not 0 <= m_offset <= last:
                     raise LayoutError(
-                        f"block {b}: image offset {m.offset} past the "
+                        f"block {b}: image offset {m_offset} past the "
                         f"disk end"
                     )
-                if m.disk == p.disk:
+                if m_disk == disk:
                     raise LayoutError(
                         f"block {b}: image on same disk as data "
-                        f"(disk {p.disk}) — orthogonality violated"
+                        f"(disk {disk}) — orthogonality violated"
                     )
-                mkey = (m.disk, m.offset)
+                mkey = m_offset * n_disks + m_disk
                 if mkey in seen:
                     raise LayoutError(
-                        f"placement collision at disk {m.disk} offset "
-                        f"{m.offset}: {seen[mkey]} vs image of {b}"
+                        f"placement collision at disk {m_disk} offset "
+                        f"{m_offset}: {owner(seen[mkey])} vs image of {b}"
                     )
-                seen[mkey] = ("image", b)
+                seen[mkey] = ~b

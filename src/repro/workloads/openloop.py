@@ -36,6 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import itertools
+from math import isfinite
+from numbers import Real
+from operator import index
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.obs.metrics import LogHistogram
@@ -46,6 +49,23 @@ if TYPE_CHECKING:
     import numpy as np
 
 _SCENARIOS = ("poisson", "zipf", "diurnal")
+
+
+def _positive(name: str, value, integral: bool = False) -> None:
+    """Check a size or rate argument: an integer (``integral``) or a real
+    number, else :class:`TypeError`; positive and finite, else
+    :class:`ValueError` (NaN included)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    if integral:
+        try:
+            index(value)
+        except TypeError:
+            raise TypeError(
+                f"{name} must be an integer, not {value!r}"
+            ) from None
+    if not (isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
 
 @dataclass
@@ -129,10 +149,15 @@ class OpenLoopWorkload:
     owner of the target block's primary disk (every request is a local
     hit, the regime the node fast-forward collapses).
 
-    ``op_size`` must be positive and ``read_fraction`` (the read share
-    of ``op="mixed"``, default 0.5) within [0, 1]; both are checked
-    here.  A request never spans blocks: an ``op_size`` above the
-    storage block size is clamped to it when requests are issued.
+    The contract is checked here, before anything is built: rates,
+    durations, ``zipf_s`` and ``diurnal_period_s`` are positive finite
+    numbers; ``n_requests``, ``op_size`` and ``region_bytes`` positive
+    integers; ``read_fraction`` (the read share of ``op="mixed"``,
+    default 0.5) and ``diurnal_amplitude`` within [0, 1].  A bad value
+    raises :class:`ValueError`, a non-number or a fractional count
+    :class:`TypeError`.  A request never spans blocks: an ``op_size``
+    above the storage block size is clamped to it when requests are
+    issued.
     """
 
     def __init__(
@@ -153,13 +178,13 @@ class OpenLoopWorkload:
         placement: str = "roundrobin",
         exact_latencies: bool = False,
     ):
-        if rate_ops_per_s <= 0:
-            raise ValueError("rate must be positive")
+        _positive("rate_ops_per_s", rate_ops_per_s)
         if n_requests is None:
-            if duration_s is None or duration_s <= 0:
-                raise ValueError("rate and duration must be positive")
-        elif n_requests < 1:
-            raise ValueError("n_requests must be positive")
+            if duration_s is None:
+                raise ValueError("give duration_s or n_requests")
+            _positive("duration_s", duration_s)
+        else:
+            _positive("n_requests", n_requests, integral=True)
         if op not in ("read", "write", "mixed"):
             raise ValueError(f"bad op {op!r}")
         if scenario not in _SCENARIOS:
@@ -170,8 +195,12 @@ class OpenLoopWorkload:
             raise ValueError(f"bad placement {placement!r}")
         if not 0.0 <= diurnal_amplitude <= 1.0:
             raise ValueError("diurnal_amplitude must be within [0, 1]")
-        if op_size <= 0:
-            raise ValueError("op_size must be positive")
+        _positive("op_size", op_size, integral=True)
+        if region_bytes is not None:
+            _positive("region_bytes", region_bytes, integral=True)
+        _positive("zipf_s", zipf_s)
+        if diurnal_period_s is not None:
+            _positive("diurnal_period_s", diurnal_period_s)
         if read_fraction is not None and not 0.0 <= read_fraction <= 1.0:
             raise ValueError("read_fraction must be within [0, 1]")
         if op == "mixed" and read_fraction is None:
@@ -190,7 +219,11 @@ class OpenLoopWorkload:
         self.diurnal_period = diurnal_period_s
         self.placement = placement
         storage = cluster.storage
-        region = region_bytes or min(storage.capacity, 512_000_000)
+        region = (
+            min(storage.capacity, 512_000_000)
+            if region_bytes is None
+            else region_bytes
+        )
         self.n_blocks = max(1, region // storage.block_size - 1)
         layout = getattr(storage, "layout", None)
         if layout is not None:

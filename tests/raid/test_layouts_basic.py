@@ -213,3 +213,74 @@ def test_data_disk_cycle_matches_placement(name, n, k):
     cycle = layout.data_disk_cycle()
     for b in range(layout.data_blocks):
         assert layout.data_location(b).disk == cycle[b % len(cycle)]
+
+
+# -- construction-time verification ---------------------------------------
+# An array checks its layout's first 256 blocks when it is built; these
+# plant one fault at block 200 and build the array.
+
+
+def _build(arch):
+    from repro.cluster.cluster import build_cluster
+    from tests.conftest import small_config
+
+    return build_cluster(small_config(n=4), architecture=arch)
+
+
+def test_a_data_collision_at_block_200_fails_construction(monkeypatch):
+    from repro.errors import LayoutError
+    from repro.raid.raid0 import Raid0Layout
+
+    uncached = Raid0Layout._data_location_uncached
+    # One rotation of 256 blocks (plain striping repeats every row, so
+    # a longer rotation describes the same geometry), where block 200
+    # lands on block 199's slot.
+    monkeypatch.setattr(
+        Raid0Layout, "_placement_rotation",
+        lambda self: (self.n_disks * 64, 64 * self.block_size),
+    )
+    monkeypatch.setattr(
+        Raid0Layout, "_data_location_uncached",
+        lambda self, b: uncached(self, 199 if b == 200 else b),
+    )
+    with pytest.raises(
+        LayoutError,
+        match=r"placement collision: blocks \('data', 199\) and 200 ",
+    ):
+        _build("raid0")
+
+
+def test_an_image_collision_at_block_200_fails_construction(monkeypatch):
+    from repro.errors import LayoutError
+    from repro.raid.raidx import RaidxLayout
+
+    images = RaidxLayout.redundancy_locations
+    monkeypatch.setattr(
+        RaidxLayout, "redundancy_locations",
+        lambda self, b: images(self, 199 if b == 200 else b),
+    )
+    with pytest.raises(
+        LayoutError, match=r"\('image', 199\) vs image of 200$"
+    ):
+        _build("raidx")
+
+
+def test_an_image_on_its_own_data_disk_fails_construction(monkeypatch):
+    from repro.errors import LayoutError
+    from repro.raid.layout import Placement
+    from repro.raid.raidx import RaidxLayout
+
+    images = RaidxLayout.redundancy_locations
+
+    def planted(self, b):
+        if b != 200:
+            return images(self, b)
+        (image,) = images(self, b)
+        return [Placement(self.data_location(b).disk, image.offset)]
+
+    monkeypatch.setattr(RaidxLayout, "redundancy_locations", planted)
+    with pytest.raises(
+        LayoutError,
+        match=r"block 200: image on same disk as data .* orthogonality",
+    ):
+        _build("raidx")

@@ -1,6 +1,8 @@
 """Open-loop latency workload."""
 
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -111,6 +113,77 @@ def test_nonpositive_op_size_is_rejected(op_size):
     cluster = build_cluster(small_config(n=4), architecture="raidx")
     with pytest.raises(ValueError, match="op_size"):
         OpenLoopWorkload(cluster, rate_ops_per_s=10, op_size=op_size)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the test if the block runs past ``seconds``:
+    a contract hole that hangs the run fails instead of stalling."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        # NaN passed the ``<= 0`` test: every request ran at t~0.
+        ({"rate_ops_per_s": NAN}, ValueError),
+        ({"rate_ops_per_s": math.inf}, ValueError),
+        ({"rate_ops_per_s": "10"}, TypeError),
+        # Accepted, and failed only inside run().
+        ({"duration_s": NAN}, ValueError),
+        ({"n_requests": 2.5, "duration_s": None}, TypeError),
+        ({"op_size": 1000.5}, TypeError),
+        # 0 silently became the default region; -5 ran every request
+        # on block 0.
+        ({"region_bytes": 0}, ValueError),
+        ({"region_bytes": -5}, ValueError),
+        ({"region_bytes": 4096.5}, TypeError),
+        # Ran, with NaN Zipf weights.
+        ({"zipf_s": NAN, "scenario": "zipf"}, ValueError),
+        ({"diurnal_period_s": -1.0, "scenario": "diurnal"}, ValueError),
+    ],
+    ids=[
+        "rate-nan", "rate-inf", "rate-str", "duration-nan",
+        "n_requests-fraction", "op_size-fraction", "region-zero",
+        "region-negative", "region-fraction", "zipf_s-nan",
+        "diurnal_period-negative",
+    ],
+)
+def test_contract_is_checked_at_construction(kwargs, error):
+    cluster = build_cluster(small_config(n=4), architecture="raidx")
+    with pytest.raises(error):
+        OpenLoopWorkload(cluster, **{"rate_ops_per_s": 10, **kwargs})
+
+
+def test_nan_diurnal_period_is_rejected_before_it_can_hang():
+    # It used to be accepted, and the arrival thinning loop then never
+    # kept a request, so run() never returned.
+    cluster = build_cluster(small_config(n=4), architecture="raidx")
+    with _deadline(20):
+        with pytest.raises(ValueError, match="diurnal_period_s"):
+            OpenLoopWorkload(
+                cluster, rate_ops_per_s=10, duration_s=None, n_requests=20,
+                scenario="diurnal", diurnal_period_s=NAN,
+            ).run()
+
+
+def test_an_explicit_region_is_honoured():
+    bs = build_cluster(small_config(n=4), architecture="raidx").storage.block_size
+    wl = make(region_bytes=5 * bs, n_requests=200, duration_s=None)
+    assert wl.n_blocks == 4
+    assert wl.run().completed == 200
 
 
 @pytest.mark.parametrize("read_fraction", [0.0, 1.0])
